@@ -43,7 +43,9 @@ print("P2 omits type 1:", omits_type1(p2), " divisor:", type1_divisor(p2))
 print("P2 direct 4-ary term search:", has_siggers_term(p2))
 
 # Connectivity is hereditary: it holds for every induced subalgebra too.
-print("RPS hereditary connectivity:", graph_connected_hereditary(RPS())[0])
+# A subalgebra's graph is the restriction of the whole graph, so the check
+# reads the graph built above instead of classifying again.
+print("RPS hereditary connectivity:", graph_connected_hereditary(g)[0])
 
 # Refinements used by the structure theory on simple algebras.
 print("Z3A strictly simple:", is_strictly_simple(Z3A()),

@@ -9,31 +9,25 @@
 # two of them are joined by a directed path of thin edges.
 
 from algraph import (
-    all_thin_edges,
+    Analysis,
     build_oriented_graph,
     components,
     depth_and_sdistance,
-    edge_graph,
-    enforce_identities,
     export_dot,
     find_thin_affine,
     find_thin_majority,
-    good_f,
     max_elements,
     path_query,
-    synth_unified,
     verify_as_connectivity,
-    witness_majority_triple,
-    witness_mixed,
 )
 from algraph.fixtures import A2, M2, RPS, S3chain, Z3A
 
 
 def pipeline(alg):
-    graph = edge_graph(alg)
-    ops = enforce_identities(synth_unified(alg, graph.edge_list()), alg)
-    fp = good_f(alg, ops)
-    return graph, ops, fp, all_thin_edges(alg, ops, fp, infos=dict(graph.edges))
+    # One analysis per algebra: the edge graph is built once and the
+    # unified operations, f' and the thin edges are read from it.
+    ana = Analysis(alg)
+    return ana.graph(), ana.unified(), ana.fprime(), ana.thin()
 
 
 for name, alg in (("M2", M2()), ("A2", A2()), ("Z3A", Z3A()), ("S3chain", S3chain())):
@@ -48,13 +42,12 @@ for name, alg in (("M2", M2()), ("A2", A2()), ("Z3A", Z3A()), ("S3chain", S3chai
 # Directed searches yield the witnesses themselves.
 m2 = M2()
 graph, ops, fp, thin = pipeline(m2)
-e = graph.edge(0, 1)
-te = find_thin_majority(m2, e, ops)
+te = find_thin_majority(graph, 0, 1, ops)
 print("thin majority witness g' on M2:", te.witness_term)
 
 z3 = Z3A()
 graph3, ops3, fp3, thin3 = pipeline(z3)
-ta = find_thin_affine(z3, graph3.edge(0, 1), ops3)
+ta = find_thin_affine(graph3, 0, 1, ops3)
 print("thin affine witness h' on Z3A:", ta.witness_term)
 
 # Paths distinguish the admitted kinds: s-paths, as-paths, sm-paths.

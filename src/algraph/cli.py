@@ -27,9 +27,9 @@ from .core import (
 from .edges import edge_graph, has_siggers_term, omits_type1
 from .reduct import build_reduct, thick_edge_subset, verify_reduct_claims
 from .subpower import ClosureBudget, DEFAULT_MAX_ELEMENTS, term_slice
-from .thin import enforce_identities, good_f, synth_unified, all_thin_edges
 from .verify import (
     THEOREMS,
+    Analysis,
     enumerate_and_verify,
     run_suite,
 )
@@ -44,7 +44,10 @@ def _budget(args) -> ClosureBudget:
     cap = getattr(args, "cap", None)
     if cap is None:
         env = os.environ.get("ALG_CAP")
-        cap = int(env) if env else DEFAULT_MAX_ELEMENTS
+        try:
+            cap = int(env) if env else DEFAULT_MAX_ELEMENTS
+        except ValueError:
+            raise AlgebraError(f"ALG_CAP must be an integer, got {env!r}") from None
     return ClosureBudget(max_elements=cap)
 
 
@@ -113,18 +116,10 @@ def cmd_edges(args) -> int:
     return EXIT_UNKNOWN if graph.has_unknown() else EXIT_PASS
 
 
-def _thin_pipeline(alg, budget):
-    graph = edge_graph(alg, budget)
-    ops = enforce_identities(synth_unified(alg, graph.edge_list(), budget), alg)
-    fp = good_f(alg, ops, budget)
-    thin = all_thin_edges(alg, ops, fp, budget, infos=dict(graph.edges))
-    return graph, ops, fp, thin
-
-
 def cmd_graph(args) -> int:
     alg = _load(args.file)
-    budget = _budget(args)
-    graph, ops, fp, thin = _thin_pipeline(alg, budget)
+    ana = Analysis(alg, _budget(args))
+    graph, thin = ana.graph(), ana.thin()
     g = build_oriented_graph(alg, thin, "all")
     co = components(g)
     payload = {
@@ -146,8 +141,8 @@ def cmd_graph(args) -> int:
 
 def cmd_thin(args) -> int:
     alg = _load(args.file)
-    budget = _budget(args)
-    graph, ops, fp, thin = _thin_pipeline(alg, budget)
+    ana = Analysis(alg, _budget(args))
+    fp, thin = ana.fprime(), ana.thin()
     payload = {
         "algebra": alg.name,
         "good_f": [int(v) for v in fp.values],
@@ -169,9 +164,7 @@ def cmd_thin(args) -> int:
 
 def cmd_synth(args) -> int:
     alg = _load(args.file)
-    budget = _budget(args)
-    graph = edge_graph(alg, budget)
-    ops = enforce_identities(synth_unified(alg, graph.edge_list(), budget), alg)
+    ops = Analysis(alg, _budget(args)).unified()
     unified = Algebra(f"{alg.name}_unified", alg.size, [ops.f, ops.g, ops.h])
     payload = {
         "algebra": alg.name,
@@ -286,7 +279,11 @@ def build_parser() -> argparse.ArgumentParser:
         if file:
             sp.add_argument("file", help="path to an .alg file")
         sp.add_argument("--json", help="write the JSON report here instead of stdout")
-        sp.add_argument("--cap", type=int, help="closure element cap (default %(default)s)")
+        sp.add_argument(
+            "--cap",
+            type=int,
+            help=f"closure element cap (default: ALG_CAP, else {DEFAULT_MAX_ELEMENTS})",
+        )
 
     sp = sub.add_parser("check", help="idempotency and type-omission status")
     common(sp)

@@ -68,15 +68,6 @@ def tuple_index(args: Sequence[int], size: int) -> int:
     return idx
 
 
-def index_tuple(idx: int, size: int, arity: int) -> tuple[int, ...]:
-    """Inverse of :func:`tuple_index`."""
-    out = []
-    for _ in range(arity):
-        out.append(idx % size)
-        idx //= size
-    return tuple(reversed(out))
-
-
 def argument_grids(size: int, arity: int) -> np.ndarray:
     """(arity, size**arity) array whose column j is the j-th argument tuple."""
     grids = np.indices((size,) * arity).reshape(arity, -1)
@@ -252,15 +243,6 @@ class App:
 TermExpr = Var | App
 
 
-def term_variables(term: TermExpr) -> set[int]:
-    if isinstance(term, Var):
-        return {term.index}
-    out: set[int] = set()
-    for a in term.args:
-        out |= term_variables(a)
-    return out
-
-
 def evaluate_term(alg: Algebra, term: TermExpr, assignment: Mapping[int, int] | Sequence[int]) -> int:
     """Evaluate a term under a variable assignment (total on the term's variables)."""
     if isinstance(term, Var):
@@ -300,11 +282,6 @@ def term_table(alg: Algebra, term: TermExpr, arity: int, name: str = "t") -> OpT
     cols = argument_grids(alg.size, arity)
     vals = evaluate_term_columns(alg, term, cols)
     return OpTable(name, arity, alg.size, vals)
-
-
-def evaluate_op(op: OpTable, args: Sequence[int]) -> int:
-    """Look up one table entry; arity and range checked."""
-    return op(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -443,14 +420,6 @@ def product_encode(sizes: Sequence[int], elems: Sequence[int]) -> int:
     for s, e in zip(sizes, elems):
         code = code * s + e
     return code
-
-
-def product_decode(sizes: Sequence[int], code: int) -> tuple[int, ...]:
-    out = []
-    for s in reversed(sizes):
-        out.append(code % s)
-        code //= s
-    return tuple(reversed(out))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,16 @@ two-element projection-only quotient anywhere) is checked two ways:
   existence of a 4-ary term s with s(y,x,y,z) = s(x,y,z,y).
 * ``has_siggers_term``: the direct search for that 4-ary term, three-valued
   because its closure can be huge; used to cross-validate the first check.
+
+A pair's classification depends only on ``(Sg(a,b), a, b)``: the carrier,
+the congruences, the quotients and the witness searches all live inside
+Sg(a,b).  Two consequences are used throughout the package instead of
+classifying again.  The edge graph of a subalgebra is the restriction of
+the whole algebra's graph to its carrier (``graph_connected_hereditary``),
+and (b, a) classifies exactly like (a, b), so ``EdgeGraph`` stores each
+unordered pair once and reversed pairs are read from it.  Only
+``semilattice_orientations`` and ``witnesses`` are stated for the stored
+orientation (a < b).
 """
 
 from __future__ import annotations
@@ -23,7 +33,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -440,20 +450,15 @@ class EdgeGraph:
         ``type_filter`` is a set of admissible types; with
         ``strict_majority_only``, majority edges count only when strict.
         """
-        n = self.alg.size
-        if n <= 1:
-            return True
-        uf = _UnionFind(n)
-        for e in self.edge_list():
-            types = e.types
-            if type_filter is not None:
-                types = types & type_filter
-                if strict_majority_only and MAJORITY in types and e.strict != STRICT_MAJORITY:
-                    types = types - {MAJORITY}
-            if types:
-                uf.union(e.a, e.b)
-        root = uf.find(0)
-        return all(uf.find(x) == root for x in range(n))
+        def admissible(e: EdgeInfo) -> bool:
+            if type_filter is None:
+                return True
+            types = e.types & type_filter
+            if strict_majority_only and e.strict != STRICT_MAJORITY:
+                types = types - {MAJORITY}
+            return bool(types)
+
+        return edges_connect(range(self.alg.size), filter(admissible, self.edge_list()))
 
     def s_connected(self) -> bool:
         return self.connected({SEMILATTICE})
@@ -462,16 +467,24 @@ class EdgeGraph:
         return self.connected({SEMILATTICE, MAJORITY}, strict_majority_only=True)
 
 
+def edges_connect(nodes: Sequence[int], edges: Iterable[EdgeInfo]) -> bool:
+    """Do the edges join all of ``nodes`` into one component (union-find)?"""
+    if len(nodes) <= 1:
+        return True
+    uf = _UnionFind(max(nodes) + 1)
+    for e in edges:
+        uf.union(e.a, e.b)
+    root = uf.find(nodes[0])
+    return all(uf.find(x) == root for x in nodes)
+
+
 def edge_graph(alg: Algebra, budget: ClosureBudget = DEFAULT_BUDGET) -> EdgeGraph:
+    """Classify every unordered pair once, stored as (a, b) with a < b."""
     edges = {}
     for a in range(alg.size):
         for b in range(a + 1, alg.size):
             edges[(a, b)] = classify_pair(alg, a, b, budget)
     return EdgeGraph(alg, edges)
-
-
-def graph_connected(alg: Algebra, budget: ClosureBudget = DEFAULT_BUDGET) -> bool:
-    return edge_graph(alg, budget).connected()
 
 
 MAX_SUBUNIVERSE_ENUM = 12
@@ -499,14 +512,23 @@ def all_subuniverses(alg: Algebra, min_size: int = 1) -> list[tuple[int, ...]]:
     return out
 
 
-def graph_connected_hereditary(alg: Algebra, budget: ClosureBudget = DEFAULT_BUDGET):
-    """Connectivity of the edge graph of the algebra and of every induced
-    subalgebra.  Returns (ok, failing_carrier or None)."""
-    for carrier in all_subuniverses(alg, min_size=1):
-        sub, _ = subalgebra_induced(alg, carrier)
-        if not graph_connected(sub, budget):
-            return False, carrier
-    return True, None
+def graph_connected_hereditary(graph: EdgeGraph) -> tuple[str, tuple[int, ...] | None]:
+    """Connectivity of the edge graph of the algebra and of every subalgebra.
+
+    A subalgebra's graph is the restriction of ``graph`` to its carrier, so
+    nothing is classified again.  Subuniverses are walked in the order of
+    ``all_subuniverses``; returns ("unknown", carrier) or ("fail", carrier)
+    for the first carrier whose restriction has a pair of unknown type or is
+    disconnected (unknown checked first), else ("pass", None).
+    """
+    for carrier in all_subuniverses(graph.alg, min_size=1):
+        inside = set(carrier)
+        infos = [e for e in graph.edges.values() if e.a in inside and e.b in inside]
+        if any(e.unknown_types for e in infos):
+            return "unknown", carrier
+        if not edges_connect(carrier, [e for e in infos if e.is_edge()]):
+            return "fail", carrier
+    return "pass", None
 
 
 # ---------------------------------------------------------------------------

@@ -43,8 +43,8 @@ from .edges import (
     STRICT_AFFINE,
     STRICT_MAJORITY,
     STRICT_SEMILATTICE,
+    EdgeGraph,
     EdgeInfo,
-    classify_pair,
 )
 from .subpower import (
     ClosureBudget,
@@ -57,7 +57,16 @@ from .subpower import (
 
 
 class SynthesisError(VerificationError):
-    """No operation met the per-edge condition matrix within the budget."""
+    """No operation met the per-edge condition matrix within the budget.
+
+    ``capped`` is set when a term slice searched on the way hit the closure
+    cap: the search was cut short, so the error is inconclusive and must not
+    be reported as a counterexample.
+    """
+
+    def __init__(self, message: str, capped: bool):
+        super().__init__(message)
+        self.capped = capped
 
 
 @dataclass(frozen=True)
@@ -271,10 +280,6 @@ def compose_fold_f(outer: OpTable, inner: OpTable) -> OpTable:
     return OpTable("f", 2, n, vals.reshape(-1))
 
 
-def binary_apply(f: OpTable, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    return f.table()[left, right]
-
-
 def projectionized(f: OpTable) -> OpTable:
     """x,y -> f(f(x,y), x)."""
     t = f.table()
@@ -486,25 +491,28 @@ def synth_unified(alg: Algebra, edges: Sequence[EdgeInfo], budget: ClosureBudget
         detail = _name_first_failure(alg, edges, "f", None)
         raise SynthesisError(
             f"no binary term operation satisfies the f-conditions"
-            f"{' (slice capped)' if f_capped else ''}; first failure: {detail}"
+            f"{' (slice capped)' if f_capped else ''}; first failure: {detail}",
+            f_capped,
         )
     g, g_check, g_capped = _synth_g(alg, edges, f, budget)
     if g is None:
         detail = _name_first_failure(alg, edges, "g", f)
         raise SynthesisError(
             f"no ternary term operation satisfies the g-conditions"
-            f"{' (slice capped)' if g_capped else ''}; first failure: {detail}"
+            f"{' (slice capped)' if g_capped else ''}; first failure: {detail}",
+            g_capped,
         )
     h, h_check, h_capped = _synth_h(alg, edges, f, g, budget)
     if h is None:
         detail = _name_first_failure(alg, edges, "h", f)
         raise SynthesisError(
             f"no ternary term operation satisfies the h-conditions"
-            f"{' (slice capped)' if h_capped else ''}; first failure: {detail}"
+            f"{' (slice capped)' if h_capped else ''}; first failure: {detail}",
+            h_capped,
         )
     ok, matrix, first_fail = unified_conditions(alg, edges, f, g, h)
     if not ok:
-        raise SynthesisError(f"condition matrix failed after synthesis at {first_fail}")
+        raise SynthesisError(f"condition matrix failed after synthesis at {first_fail}", False)
     return UnifiedOps(
         f=f.renamed("f"), g=g.renamed("g"), h=h.renamed("h"), edges=edges, provenance=matrix
     )
@@ -681,9 +689,11 @@ def good_f(alg: Algebra, ops: UnifiedOps, budget: ClosureBudget = DEFAULT_BUDGET
     for t in tables:
         if good(t) and keeps_matrix(t) and idempotent_rows(t):
             return t.renamed("f'")
+    capped = status != "complete"
     raise SynthesisError(
         "no binary term operation is good for thin semilattice edges"
-        + (" (slice capped)" if status != "complete" else "")
+        + (" (slice capped)" if capped else ""),
+        capped,
     )
 
 
@@ -712,18 +722,18 @@ def is_thin_majority(
     alg: Algebra,
     a: int,
     b: int,
+    e: EdgeInfo,
     ops: UnifiedOps,
     budget: ClosureBudget = DEFAULT_BUDGET,
-    info: EdgeInfo | None = None,
 ):
     """ThinEdge if (a, b) is a thin majority edge, None if not, UNKNOWN if capped.
 
+    ``e`` is the classification of the pair in either orientation.
     Conditions: (a) the pair is a majority edge with minimal witnessing
     congruence theta; (b) every c in b's theta-block satisfies
     b in Sg{a, c}; (c) g(a,b,b) = b for the unified g; (d) a ternary term
     g' with g'(a,b,b) = g'(b,a,b) = g'(b,b,a) = b, found by membership.
     """
-    e = info if info is not None else classify_pair(alg, a, b, budget)
     if MAJORITY not in e.types:
         return UNKNOWN if MAJORITY in e.unknown_types else None
     if ops.g(a, b, b) != b:
@@ -756,17 +766,17 @@ def is_thin_affine(
     alg: Algebra,
     a: int,
     b: int,
+    e: EdgeInfo,
     ops: UnifiedOps,
     budget: ClosureBudget = DEFAULT_BUDGET,
-    info: EdgeInfo | None = None,
 ):
     """ThinEdge if (a, b) is a thin affine edge, None/UNKNOWN otherwise.
 
+    ``e`` is the classification of the pair in either orientation.
     Conditions mirror the majority case with h: (c) h(b,a,a) = b and
     (d) a ternary h' with h'(b,a,a) = h'(a,a,b) = b, found as membership of
     (b,b) in the subpower generated by (b,a), (a,a), (a,b).
     """
-    e = info if info is not None else classify_pair(alg, a, b, budget)
     if AFFINE not in e.types:
         return UNKNOWN if AFFINE in e.unknown_types else None
     if ops.h(b, a, a) != b:
@@ -795,77 +805,69 @@ def is_thin_affine(
     return ThinEdge(alg, AFFINE, a, b, table, term, _theta_blocks_tuple(e, AFFINE))
 
 
-def find_thin_majority(
-    alg: Algebra, edge: EdgeInfo, ops: UnifiedOps, budget: ClosureBudget = DEFAULT_BUDGET
-):
-    """Search b' in b's theta-block with (a, b') a thin majority edge.
+_THIN_TESTS = {
+    MAJORITY: (STRICT_MAJORITY, is_thin_majority),
+    AFFINE: (STRICT_AFFINE, is_thin_affine),
+}
 
-    Candidates are tried in increasing element order.  For a strict
-    majority edge a failure contradicts the thin-counterpart guarantee and
-    raises; for non-strict majority edges the result may be absent.
-    """
-    if MAJORITY not in edge.types:
+
+def _find_thin(graph: EdgeGraph, src: int, dst: int, ops: UnifiedOps, budget, kind: str):
+    """First b' in dst's theta-block, in increasing order, with (src, b') thin."""
+    strict, is_thin = _THIN_TESTS[kind]
+    edge = graph.edge(src, dst)
+    if kind not in edge.types:
         return None
-    for bprime in sorted(edge.block_of(MAJORITY, edge.b)):
-        if bprime == edge.a:
+    for bprime in sorted(edge.block_of(kind, dst)):
+        if bprime == src:
             continue
-        res = is_thin_majority(alg, edge.a, bprime, ops, budget)
+        res = is_thin(graph.alg, src, bprime, graph.edge(src, bprime), ops, budget)
         if isinstance(res, ThinEdge):
             return res
         if res is UNKNOWN:
             return UNKNOWN
-    if edge.strict == STRICT_MAJORITY:
-        raise VerificationError(
-            f"strict majority edge ({edge.a},{edge.b}) has no thin counterpart"
-        )
+    if edge.strict == strict:
+        raise VerificationError(f"strict {kind} edge ({src},{dst}) has no thin counterpart")
     return None
+
+
+def find_thin_majority(
+    graph: EdgeGraph, src: int, dst: int, ops: UnifiedOps, budget: ClosureBudget = DEFAULT_BUDGET
+):
+    """Search b' in dst's theta-block with (src, b') a thin majority edge.
+
+    Every pair is read from ``graph``; (src, dst) may be either orientation
+    of a stored pair.  For a strict majority edge a failure contradicts the
+    thin-counterpart guarantee and raises; for non-strict majority edges the
+    result may be absent.
+    """
+    return _find_thin(graph, src, dst, ops, budget, MAJORITY)
 
 
 def find_thin_affine(
-    alg: Algebra, edge: EdgeInfo, ops: UnifiedOps, budget: ClosureBudget = DEFAULT_BUDGET
+    graph: EdgeGraph, src: int, dst: int, ops: UnifiedOps, budget: ClosureBudget = DEFAULT_BUDGET
 ):
-    """Search b' in b's theta-block with (a, b') a thin affine edge."""
-    if AFFINE not in edge.types:
-        return None
-    for bprime in sorted(edge.block_of(AFFINE, edge.b)):
-        if bprime == edge.a:
-            continue
-        res = is_thin_affine(alg, edge.a, bprime, ops, budget)
-        if isinstance(res, ThinEdge):
-            return res
-        if res is UNKNOWN:
-            return UNKNOWN
-    if edge.strict == STRICT_AFFINE:
-        raise VerificationError(
-            f"strict affine edge ({edge.a},{edge.b}) has no thin counterpart"
-        )
-    return None
+    """Search b' in dst's theta-block with (src, b') a thin affine edge."""
+    return _find_thin(graph, src, dst, ops, budget, AFFINE)
 
 
 def all_thin_edges(
-    alg: Algebra,
+    graph: EdgeGraph,
     ops: UnifiedOps,
     fprime: OpTable,
     budget: ClosureBudget = DEFAULT_BUDGET,
-    infos: dict | None = None,
 ) -> list[ThinEdge]:
-    """Every thin edge of every kind, over all ordered pairs."""
+    """Every thin edge of every kind, over all ordered pairs of ``graph``."""
+    alg = graph.alg
     out = thin_semilattice_edges(alg, fprime)
-    cache = infos if infos is not None else {}
     for a in range(alg.size):
         for b in range(alg.size):
             if a == b:
                 continue
-            key = (min(a, b), max(a, b))
-            if key not in cache:
-                cache[key] = classify_pair(alg, key[0], key[1], budget)
-            info = cache[key]
-            mj = is_thin_majority(alg, a, b, ops, budget, info=info)
-            if isinstance(mj, ThinEdge):
-                out.append(mj)
-            af = is_thin_affine(alg, a, b, ops, budget, info=info)
-            if isinstance(af, ThinEdge):
-                out.append(af)
+            info = graph.edge(a, b)
+            for is_thin in (is_thin_majority, is_thin_affine):
+                res = is_thin(alg, a, b, info, ops, budget)
+                if isinstance(res, ThinEdge):
+                    out.append(res)
     return out
 
 

@@ -18,24 +18,21 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from .congruence import all_tolerances, is_class_subuniverse, tolerance_classes
-from .core import Algebra, AlgebraError, OpTable, UNKNOWN, serialize_algebra
+from .core import Algebra, AlgebraError, OpTable, UNKNOWN, VerificationError, serialize_algebra
 from .edges import (
-    MAJORITY,
     SEMILATTICE,
     STRICT_AFFINE,
     STRICT_MAJORITY,
-    AFFINE,
     EdgeGraph,
     edge_graph,
-    graph_connected,
-    all_subuniverses,
+    edges_connect,
+    graph_connected_hereditary,
     omits_type1,
 )
 from .congruence import link_tolerance
 from .connectivity import verify_as_connectivity
-from .core import subalgebra_induced
 from .reduct import build_reduct, thick_edge_subset, verify_reduct_claims
-from .subpower import ClosureBudget, DEFAULT_BUDGET, generate_subuniverse
+from .subpower import ClosureBudget, DEFAULT_BUDGET, generate_subuniverse, term_slice
 from .thin import (
     SynthesisError,
     UnifiedOps,
@@ -79,7 +76,12 @@ class VerificationReport:
 
 
 class Analysis:
-    """Lazily computed shared state for one algebra's suites."""
+    """Lazily computed shared state for one algebra's suites.
+
+    The edge graph is built once, by ``graph()``; the suites, the thin
+    edges and the CLI's graph/thin/synth commands read pairs, reversed
+    pairs and subalgebra graphs from it instead of classifying again.
+    """
 
     def __init__(self, alg: Algebra, budget: ClosureBudget = DEFAULT_BUDGET):
         self.alg = alg
@@ -113,10 +115,7 @@ class Analysis:
 
     def thin(self) -> list:
         if self._thin is None:
-            infos = dict(self.graph().edges)
-            self._thin = all_thin_edges(
-                self.alg, self.unified(), self.fprime(), self.budget, infos=infos
-            )
+            self._thin = all_thin_edges(self.graph(), self.unified(), self.fprime(), self.budget)
         return self._thin
 
 
@@ -126,28 +125,31 @@ def _skip_if_type1(ana: Analysis, theorem: str) -> VerificationReport | None:
     return None
 
 
+def _synthesis_failed(
+    ana: Analysis, theorem: str, ex: SynthesisError, t0: float
+) -> VerificationReport:
+    """``unknown`` when a capped term slice left the synthesis undecided,
+    else ``fail`` with the replayable algebra."""
+    if ex.capped:
+        return VerificationReport(theorem, "unknown", {"error": str(ex)}, time.time() - t0)
+    detail = {"error": str(ex), "algebra": serialize_algebra(ana.alg)}
+    return VerificationReport(theorem, "fail", detail, time.time() - t0)
+
+
 def check_connectedness(ana: Analysis) -> VerificationReport:
-    """Edge-graph connectivity for the algebra and every induced subalgebra."""
+    """Edge-graph connectivity for the algebra and every induced subalgebra.
+
+    The graph is built once; each subalgebra's graph is its restriction.
+    """
     t0 = time.time()
     skip = _skip_if_type1(ana, "connectedness")
     if skip:
         return skip
-    alg = ana.alg
-    for carrier in all_subuniverses(alg, min_size=1):
-        sub, _ = subalgebra_induced(alg, carrier)
-        g = edge_graph(sub, ana.budget)
-        if g.has_unknown():
-            return VerificationReport(
-                "connectedness", "unknown", {"carrier": list(carrier)}, time.time() - t0
-            )
-        if not g.connected():
-            return VerificationReport(
-                "connectedness",
-                "fail",
-                {"carrier": list(carrier), "algebra": serialize_algebra(alg)},
-                time.time() - t0,
-            )
-    return VerificationReport("connectedness", "pass", {}, time.time() - t0)
+    status, carrier = graph_connected_hereditary(ana.graph())
+    detail = {} if carrier is None else {"carrier": list(carrier)}
+    if status == "fail":
+        detail["algebra"] = serialize_algebra(ana.alg)
+    return VerificationReport("connectedness", status, detail, time.time() - t0)
 
 
 def check_uniform(ana: Analysis) -> VerificationReport:
@@ -159,12 +161,7 @@ def check_uniform(ana: Analysis) -> VerificationReport:
     try:
         ops = ana.unified()
     except SynthesisError as ex:
-        return VerificationReport(
-            "uniform",
-            "fail",
-            {"error": str(ex), "algebra": serialize_algebra(ana.alg)},
-            time.time() - t0,
-        )
+        return _synthesis_failed(ana, "uniform", ex, t0)
     ok, matrix, first_fail = unified_conditions(ana.alg, ops.edges, ops.f, ops.g, ops.h)
     detail = {"conditions": {f"{k[0]}:{k[1]}": v for k, v in sorted(matrix.items())}}
     if not ok:
@@ -183,9 +180,7 @@ def check_identities_suite(ana: Analysis) -> VerificationReport:
     try:
         ops = ana.unified()
     except SynthesisError as ex:
-        return VerificationReport(
-            "identities", "fail", {"error": str(ex)}, time.time() - t0
-        )
+        return _synthesis_failed(ana, "identities", ex, t0)
     if check_identities(ops):
         return VerificationReport("identities", "pass", {}, time.time() - t0)
     return VerificationReport(
@@ -202,12 +197,7 @@ def check_good_op(ana: Analysis) -> VerificationReport:
     try:
         fp = ana.fprime()
     except SynthesisError as ex:
-        return VerificationReport(
-            "good-op",
-            "fail",
-            {"error": str(ex), "algebra": serialize_algebra(ana.alg)},
-            time.time() - t0,
-        )
+        return _synthesis_failed(ana, "good-op", ex, t0)
     t = fp.table()
     for a in range(ana.alg.size):
         for b in range(ana.alg.size):
@@ -235,46 +225,37 @@ def check_thin(ana: Analysis) -> VerificationReport:
         ops = ana.unified()
         fp = ana.fprime()
     except SynthesisError as ex:
-        return VerificationReport("thin", "fail", {"error": str(ex)}, time.time() - t0)
+        return _synthesis_failed(ana, "thin", ex, t0)
+    graph = ana.graph()
+    finders = {
+        STRICT_MAJORITY: ("thin-majority", find_thin_majority),
+        STRICT_AFFINE: ("thin-affine", find_thin_affine),
+    }
     failures = []
     unknown = False
-    from .edges import classify_pair
-
-    for e in ana.graph().edge_list():
-        for (x, y) in ((e.a, e.b), (e.b, e.a)):
-            info = e if (x, y) == (e.a, e.b) else classify_pair(alg, x, y, ana.budget)
-            if info.strict == STRICT_MAJORITY:
-                try:
-                    res = find_thin_majority(alg, info, ops, ana.budget)
-                except Exception as ex:
-                    failures.append({"edge": [x, y], "claim": "thin-majority", "error": str(ex)})
-                    continue
-                if res is UNKNOWN:
-                    unknown = True
-            if AFFINE in info.types and info.strict == STRICT_AFFINE:
-                try:
-                    res = find_thin_affine(alg, info, ops, ana.budget)
-                except Exception as ex:
-                    failures.append({"edge": [x, y], "claim": "thin-affine", "error": str(ex)})
-                    continue
-                if res is UNKNOWN:
-                    unknown = True
-    for fail in verify_thick_thin(alg, ana.graph().edge_list(), fp):
+    for e in graph.edge_list():
+        if e.strict not in finders:
+            continue
+        claim, find = finders[e.strict]
+        # (b, a) classifies like (a, b): both orientations read the stored pair
+        for src, dst in ((e.a, e.b), (e.b, e.a)):
+            try:
+                res = find(graph, src, dst, ops, ana.budget)
+            except VerificationError as ex:
+                failures.append({"edge": [src, dst], "claim": claim, "error": str(ex)})
+                continue
+            if res is UNKNOWN:
+                unknown = True
+    for fail in verify_thick_thin(alg, graph.edge_list(), fp):
         failures.append({"edge": list(fail[0]), "claim": "thick-to-thin", "error": fail[1]})
     # dropping semilattice edges with nontrivial witness keeps the graph connected
-    if alg.size > 1:
-        from .congruence import _UnionFind
-
-        uf = _UnionFind(alg.size)
-        for e in ana.graph().edge_list():
-            types = set(e.types)
-            if SEMILATTICE in types and not e.theta[SEMILATTICE].is_equality():
-                types.discard(SEMILATTICE)
-            if types:
-                uf.union(e.a, e.b)
-        root = uf.find(0)
-        if not all(uf.find(x) == root for x in range(alg.size)):
-            failures.append({"claim": "trimmed-graph-connectivity", "error": "disconnected"})
+    kept = [
+        e
+        for e in graph.edge_list()
+        if e.types != {SEMILATTICE} or e.theta[SEMILATTICE].is_equality()
+    ]
+    if not edges_connect(range(alg.size), kept):
+        failures.append({"claim": "trimmed-graph-connectivity", "error": "disconnected"})
     if failures:
         return VerificationReport(
             "thin",
@@ -296,9 +277,7 @@ def check_as_connectivity(ana: Analysis) -> VerificationReport:
     try:
         rep = verify_as_connectivity(ana.alg, ana.thin())
     except SynthesisError as ex:
-        return VerificationReport(
-            "as-connectivity", "fail", {"error": str(ex)}, time.time() - t0
-        )
+        return _synthesis_failed(ana, "as-connectivity", ex, t0)
     detail = {"maximal": rep["maximal"], "failures": rep["failures"]}
     if rep["failures"]:
         detail["algebra"] = serialize_algebra(ana.alg)
@@ -327,11 +306,12 @@ def check_reduct(ana: Analysis, edge_pair=None) -> VerificationReport:
         return VerificationReport(
             "reduct", "skipped", {"reason": "no qualifying edge"}, time.time() - t0
         )
+    slices = (term_slice(alg, 2, ana.budget), term_slice(alg, 3, ana.budget))
     results = []
     worst = "pass"
     for e in edges:
         subset = thick_edge_subset(alg, e)
-        red = build_reduct(alg, subset, ana.budget)
+        red = build_reduct(alg, subset, ana.budget, slices=slices)
         rep = verify_reduct_claims(alg, red, ana.budget, base_graph=graph)
         rep["edge"] = [e.a, e.b]
         rep["ops"] = len(red.algebra.ops)

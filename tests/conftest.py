@@ -6,9 +6,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from algraph.core import Algebra, OpTable
-from algraph.edges import edge_graph
 from algraph.fixtures import fixture
-from algraph.thin import all_thin_edges, enforce_identities, good_f, synth_unified
+from algraph.verify import Analysis
 
 
 @pytest.fixture(scope="session")
@@ -20,12 +19,13 @@ class Pipeline:
     """Cached full analysis of one algebra for the tests."""
 
     def __init__(self, alg):
+        ana = Analysis(alg)
         self.alg = alg
-        self.graph = edge_graph(alg)
+        self.graph = ana.graph()
         self.edges = self.graph.edge_list()
-        self.ops = enforce_identities(synth_unified(alg, self.edges), alg)
-        self.fprime = good_f(alg, self.ops)
-        self.thin = all_thin_edges(alg, self.ops, self.fprime, infos=dict(self.graph.edges))
+        self.ops = ana.unified()
+        self.fprime = ana.fprime()
+        self.thin = ana.thin()
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,7 @@ import pytest
 from algraph.cli import main
 from algraph.core import parse_algebra, serialize_algebra
 from algraph.fixtures import fixture
+from algraph.subpower import DEFAULT_MAX_ELEMENTS
 
 DATA = Path(__file__).parent.parent / "src" / "algraph" / "data"
 
@@ -155,3 +156,17 @@ def test_slice_dump(tmp_path, capsys):
 
 def test_missing_file(capsys):
     assert main(["check", "/nonexistent/x.alg"]) == 2
+
+
+def test_bad_alg_cap_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("ALG_CAP", "abc")
+    assert main(["edges", str(DATA / "S2.alg")]) == 2
+    assert "ALG_CAP" in capsys.readouterr().err
+
+
+def test_cap_help_shows_default(capsys):
+    with pytest.raises(SystemExit) as ex:
+        main(["edges", "--help"])
+    assert ex.value.code == 0
+    out = capsys.readouterr().out
+    assert str(DEFAULT_MAX_ELEMENTS) in out and "None" not in out

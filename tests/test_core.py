@@ -8,7 +8,6 @@ from algraph.core import (
     OpTable,
     ParseError,
     Var,
-    evaluate_op,
     evaluate_term,
     parse_algebra,
     product_algebra,
@@ -68,11 +67,14 @@ def test_roundtrip_all_fixtures(algs):
 
 
 def test_evaluate_op(algs):
-    assert evaluate_op(algs["S2"].op("join"), (0, 1)) == 1
-    assert evaluate_op(algs["A2"].op("mal"), (1, 0, 0)) == 1
-    assert evaluate_op(algs["RPS"].op("w"), (0, 1)) == 1
+    """Calling an OpTable looks up one entry, checking arity and range."""
+    assert algs["S2"].op("join")(0, 1) == 1
+    assert algs["A2"].op("mal")(1, 0, 0) == 1
+    assert algs["RPS"].op("w")(0, 1) == 1
     with pytest.raises(AlgebraError, match="expected 2 arguments"):
-        evaluate_op(algs["S2"].op("join"), (0, 1, 1))
+        algs["S2"].op("join")(0, 1, 1)
+    with pytest.raises(AlgebraError, match="argument 2 out of range"):
+        algs["S2"].op("join")(0, 2)
 
 
 def test_evaluate_term(algs):

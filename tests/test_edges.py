@@ -1,15 +1,23 @@
 import pytest
 
-from algraph.core import UNKNOWN, Algebra, AlgebraError, OpTable, evaluate_term, term_table
+from algraph.core import (
+    UNKNOWN,
+    Algebra,
+    AlgebraError,
+    OpTable,
+    evaluate_term,
+    subalgebra_induced,
+    term_table,
+)
 from algraph.edges import (
     AFFINE,
     MAJORITY,
     SEMILATTICE,
     affine_certificates,
     affine_quotient_certificate,
+    all_subuniverses,
     classify_pair,
     edge_graph,
-    graph_connected,
     graph_connected_hereditary,
     has_siggers_term,
     is_strictly_simple,
@@ -82,12 +90,48 @@ def test_classify_fixture_pairs(algs):
     assert e.types == frozenset() and e.strict is None and not e.is_edge()
 
 
+def _pair_content(e, labels):
+    """Orientation-free classification of a pair, with the elements of its
+    theta blocks renamed by ``labels``."""
+    theta = {
+        t: sorted(sorted(labels[x] for x in block) for block in e.theta_blocks(t))
+        for t in e.theta
+    }
+    return e.types, e.unknown_types, e.strict, theta
+
+
 def test_classification_symmetric(algs):
     for name in ("S2", "M2", "A2", "RPS", "Z3A", "S3chain"):
         alg = algs[name]
+        same = list(range(alg.size))
         for a in range(alg.size):
             for b in range(a + 1, alg.size):
-                assert classify_pair(alg, a, b).types == classify_pair(alg, b, a).types
+                assert _pair_content(classify_pair(alg, a, b), same) == _pair_content(
+                    classify_pair(alg, b, a), same
+                )
+
+
+def _assert_subgraphs_are_restrictions(alg):
+    full = edge_graph(alg)
+    same = list(range(alg.size))
+    for carrier in all_subuniverses(alg, min_size=2):
+        if len(carrier) == alg.size:
+            continue
+        sub, labels = subalgebra_induced(alg, carrier)
+        for (x, y), e in edge_graph(sub).edges.items():
+            whole = full.edge(labels[x], labels[y])
+            assert _pair_content(e, labels) == _pair_content(whole, same), (alg.name, carrier, x, y)
+
+
+def test_subalgebra_graph_is_restriction(algs):
+    """The edge graph of a subalgebra equals the restriction of the whole
+    graph: the reference for reading subgraphs instead of classifying."""
+    for alg in algs.values():
+        _assert_subgraphs_are_restrictions(alg)
+    for size, signature in ((2, "binary"), (2, "ternary"), (3, "binary")):
+        for alg in iter_idempotent_algebras(size, signature):
+            if omits_type1(alg):
+                _assert_subgraphs_are_restrictions(alg)
 
 
 def test_theta_minimality(algs):
@@ -137,12 +181,15 @@ def test_edge_graph_fixtures(algs, pipelines):
 
 
 def test_graph_connected_hereditary(algs):
-    ok, _ = graph_connected_hereditary(algs["S3chain"])
-    assert ok
-    ok, carrier = graph_connected_hereditary(algs["P2"])
-    assert not ok and carrier == (0, 1)
+    assert graph_connected_hereditary(edge_graph(algs["S3chain"])) == ("pass", None)
+    assert graph_connected_hereditary(edge_graph(algs["P2"])) == ("fail", (0, 1))
+    # a capped search leaves M2's only pair untyped: unknown, not fail
+    capped = edge_graph(algs["M2"], ClosureBudget(max_elements=3))
+    assert not capped.connected()
+    assert graph_connected_hereditary(capped) == ("unknown", (0, 1))
     one = Algebra("one", 1, [OpTable("f", 1, 1, [0])])
-    assert graph_connected(one)
+    assert graph_connected_hereditary(edge_graph(one)) == ("pass", None)
+    assert edge_graph(one).connected()
 
 
 def test_siggers_fixtures(algs):
@@ -196,7 +243,7 @@ def test_verify_simple_case4(algs):
 def test_negative_control_coherent(algs):
     p2 = algs["P2"]
     assert has_siggers_term(p2) is False
-    assert not graph_connected(p2)
+    assert not edge_graph(p2).connected()
 
 
 def test_classify_rejects_equal_elements(algs):

@@ -101,30 +101,35 @@ def test_thin_semilattice_edges(pipelines):
 
 def test_find_thin_majority(pipelines):
     p = pipelines["M2"]
-    e = p.graph.edge(0, 1)
-    thin = find_thin_majority(p.alg, e, p.ops)
+    thin = find_thin_majority(p.graph, 0, 1, p.ops)
     assert isinstance(thin, ThinEdge)
     assert (thin.src, thin.dst) == (0, 1)
     assert thin.witness(0, 1, 1) == 1 and thin.witness(1, 0, 1) == 1 and thin.witness(1, 1, 0) == 1
     # symmetric orientation
-    rev = is_thin_majority(p.alg, 1, 0, p.ops)
+    rev = is_thin_majority(p.alg, 1, 0, p.graph.edge(0, 1), p.ops)
     assert isinstance(rev, ThinEdge)
+    # the reversed orientation is read from the stored pair (0, 1)
+    back = find_thin_majority(p.graph, 1, 0, p.ops)
+    assert (back.src, back.dst) == (1, 0)
     # non-majority edge: absent by contract
     a2 = pipelines["A2"]
-    assert find_thin_majority(a2.alg, a2.graph.edge(0, 1), a2.ops) is None
+    assert find_thin_majority(a2.graph, 0, 1, a2.ops) is None
 
 
 def test_find_thin_affine(pipelines):
     a2 = pipelines["A2"]
-    thin = find_thin_affine(a2.alg, a2.graph.edge(0, 1), a2.ops)
+    thin = find_thin_affine(a2.graph, 0, 1, a2.ops)
     assert isinstance(thin, ThinEdge)
     assert thin.witness(1, 0, 0) == 1 and thin.witness(0, 0, 1) == 1
     z3 = pipelines["Z3A"]
-    thin3 = find_thin_affine(z3.alg, z3.graph.edge(0, 1), z3.ops)
+    thin3 = find_thin_affine(z3.graph, 0, 1, z3.ops)
     assert isinstance(thin3, ThinEdge)
     assert thin3.witness(1, 0, 0) == 1 and thin3.witness(0, 0, 1) == 1
+    back = find_thin_affine(z3.graph, 2, 0, z3.ops)
+    assert (back.src, back.dst) == (2, 0)
+    assert back.witness(0, 2, 2) == 0 and back.witness(2, 2, 0) == 0
     s2 = pipelines["S2"]
-    assert find_thin_affine(s2.alg, s2.graph.edge(0, 1), s2.ops) is None
+    assert find_thin_affine(s2.graph, 0, 1, s2.ops) is None
 
 
 def test_all_thin_edges_fixtures(pipelines):
