@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Algebra, AlgebraError, VerificationError, argument_grids
+from .core import Algebra, AlgebraError, VerificationError, argument_grids, flat_index
 from .subpower import SubUniverse, generate_subuniverse
 
 
@@ -357,15 +357,8 @@ def is_compatible_tolerance(alg: Algebra, t: Tolerance) -> bool:
     m = len(pairs)
     for op in alg.ops:
         grids = argument_grids(m, op.arity).astype(np.int64)
-        lefts = pairs[:, 0][grids]
-        rights = pairs[:, 1][grids]
-        flat_l = lefts[0].astype(np.int64)
-        flat_r = rights[0].astype(np.int64)
-        for row_l, row_r in zip(lefts[1:], rights[1:]):
-            flat_l = flat_l * alg.size + row_l
-            flat_r = flat_r * alg.size + row_r
-        vl = op.values[flat_l]
-        vr = op.values[flat_r]
+        vl = op.values[flat_index((pairs[row, 0] for row in grids), alg.size)]
+        vr = op.values[flat_index((pairs[row, 1] for row in grids), alg.size)]
         if not t.matrix[vl, vr].all():
             return False
     return True

@@ -68,6 +68,18 @@ def tuple_index(args: Sequence[int], size: int) -> int:
     return idx
 
 
+def flat_index(columns: Iterable[np.ndarray], size: int) -> np.ndarray:
+    """Flat indices of argument columns, the first column most significant:
+    the vectorised ``tuple_index``.  Folds in place into one int64 copy of
+    the first column; the columns themselves are not modified."""
+    columns = iter(columns)
+    flat = next(columns).astype(np.int64)
+    for col in columns:
+        flat *= size
+        flat += col
+    return flat
+
+
 def argument_grids(size: int, arity: int) -> np.ndarray:
     """(arity, size**arity) array whose column j is the j-th argument tuple."""
     grids = np.indices((size,) * arity).reshape(arity, -1)
@@ -270,11 +282,8 @@ def evaluate_term_columns(alg: Algebra, term: TermExpr, columns: np.ndarray) -> 
         raise AlgebraError(
             f"term applies {op.name}/{op.arity} to {len(term.args)} arguments"
         )
-    parts = [evaluate_term_columns(alg, a, columns) for a in term.args]
-    flat = parts[0].astype(np.int64)
-    for p in parts[1:]:
-        flat = flat * alg.size + p
-    return op.values[flat]
+    parts = (evaluate_term_columns(alg, a, columns) for a in term.args)
+    return op.values[flat_index(parts, alg.size)]
 
 
 def term_table(alg: Algebra, term: TermExpr, arity: int, name: str = "t") -> OpTable:
@@ -306,10 +315,7 @@ def subalgebra_induced(alg: Algebra, carrier: Iterable[int]) -> tuple[Algebra, l
     for op in alg.ops:
         grid = argument_grids(m, op.arity)
         args_old = np.asarray(elems, dtype=np.uint8)[grid]
-        flat = args_old[0].astype(np.int64)
-        for row in args_old[1:]:
-            flat = flat * alg.size + row
-        vals_old = op.values[flat]
+        vals_old = op.values[flat_index(args_old, alg.size)]
         outside = ~np.isin(vals_old, elems)
         if outside.any():
             j = int(np.argmax(outside))
@@ -344,15 +350,9 @@ def quotient_algebra(alg: Algebra, theta) -> tuple[Algebra, list[int]]:
     new_ops = []
     for op in alg.ops:
         grid = argument_grids(alg.size, op.arity)
-        flat = grid[0].astype(np.int64)
-        for row in grid[1:]:
-            flat = flat * alg.size + row
-        val_blocks = bm[op.values[flat]]
+        val_blocks = bm[op.values[flat_index(grid, alg.size)]]
         # all argument tuples with the same block pattern must agree blockwise
-        arg_blocks = bm[grid]
-        pattern = arg_blocks[0].astype(np.int64)
-        for row in arg_blocks[1:]:
-            pattern = pattern * m + row
+        pattern = flat_index((bm[row] for row in grid), m)
         order = np.argsort(pattern, kind="stable")
         ps, vs = pattern[order], val_blocks[order]
         starts = np.r_[True, ps[1:] != ps[:-1]]
@@ -370,10 +370,7 @@ def quotient_algebra(alg: Algebra, theta) -> tuple[Algebra, list[int]]:
         new_vals = np.empty(m**op.arity, dtype=np.uint8)
         rep_grid = argument_grids(m, op.arity)
         rep_args = np.asarray(reps, dtype=np.uint8)[rep_grid]
-        flat_r = rep_args[0].astype(np.int64)
-        for row in rep_args[1:]:
-            flat_r = flat_r * alg.size + row
-        new_vals[:] = bm[op.values[flat_r]]
+        new_vals[:] = bm[op.values[flat_index(rep_args, alg.size)]]
         new_ops.append(OpTable(op.name, op.arity, m, new_vals))
     return Algebra(f"{alg.name}/theta", m, new_ops), block_map
 
@@ -405,11 +402,8 @@ def product_algebra(algs: Sequence[Algebra], name: str | None = None) -> Algebra
         grid = argument_grids(total, arity).astype(np.int64)
         vals = np.zeros(total**arity, dtype=np.int64)
         for j, a in enumerate(algs):
-            op = a.ops[oi]
-            flat = digits[j][grid[0]]
-            for row in grid[1:]:
-                flat = flat * a.size + digits[j][row]
-            vals = vals * a.size + op.values[flat]
+            flat = flat_index((digits[j][row] for row in grid), a.size)
+            vals = vals * a.size + a.ops[oi].values[flat]
         new_ops.append(OpTable(opname, arity, total, vals))
     return Algebra(name or "x".join(a.name for a in algs), total, new_ops)
 

@@ -45,6 +45,7 @@ from .core import (
     OpTable,
     TermExpr,
     argument_grids,
+    flat_index,
     product_algebra,
     quotient_algebra,
     subalgebra_induced,
@@ -270,19 +271,10 @@ def _commutes(alg: Algebra, m: OpTable) -> bool:
             xs = digits[0:r]
             ys = digits[r : 2 * r]
             zs = digits[2 * r : 3 * r]
-
-            def flat(cols):
-                f = cols[0].astype(np.int64)
-                for c in cols[1:]:
-                    f = f * q + c
-                return f
-
-            fx = op.values[flat(xs)]
-            fy = op.values[flat(ys)]
-            fz = op.values[flat(zs)]
-            lhs = mv[flat([fx, fy, fz])]
-            margs = [mv[flat([xs[j], ys[j], zs[j]])] for j in range(r)]
-            rhs = op.values[flat(margs)]
+            fx, fy, fz = (op.values[flat_index(c, q)] for c in (xs, ys, zs))
+            lhs = mv[flat_index((fx, fy, fz), q)]
+            margs = (mv[flat_index((xs[j], ys[j], zs[j]), q)] for j in range(r))
+            rhs = op.values[flat_index(margs, q)]
             if not np.array_equal(lhs, rhs):
                 return False
     return True

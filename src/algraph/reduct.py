@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Algebra, AlgebraError, OpTable, argument_grids
+from .core import Algebra, AlgebraError, OpTable, argument_grids, flat_index
 from .edges import (
     MAJORITY,
     SEMILATTICE,
@@ -70,10 +70,7 @@ def thick_edge_subset(alg: Algebra, edge: EdgeInfo) -> ThickEdgeSubset:
 def _preserves(table_vals: np.ndarray, arity: int, n: int, subset: frozenset[int]) -> bool:
     sub = np.asarray(sorted(subset), dtype=np.int64)
     grid = argument_grids(len(sub), arity).astype(np.int64)
-    flat = sub[grid[0]]
-    for row in grid[1:]:
-        flat = flat * n + sub[row]
-    vals = table_vals[flat]
+    vals = table_vals[flat_index((sub[row] for row in grid), n)]
     return bool(np.isin(vals, sub).all())
 
 

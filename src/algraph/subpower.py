@@ -29,6 +29,7 @@ from .core import (
     VerificationError,
     argument_grids,
     evaluate_term_columns,
+    flat_index,
 )
 
 DEFAULT_MAX_ELEMENTS = 4_194_304
@@ -226,10 +227,7 @@ def _closure(
                 )
                 for arg_idx in _stream_blocks(ranges, _CHUNK):
                     work += len(arg_idx[0])
-                    vals = rows[arg_idx[0]].astype(np.int64)
-                    for idx in arg_idx[1:]:
-                        vals = vals * n + rows[idx]
-                    out = table[vals]
+                    out = table[flat_index((rows[idx] for idx in arg_idx), n)]
                     if row_predicate is not None:
                         mask = row_predicate(out)
                         if mask.any():

@@ -5,10 +5,21 @@ correctly on every strict edge at once: f is semilattice on semilattice
 edges and the first projection on the others; g is majority on majority
 edges, first projection on affine ones and x(yz) on semilattice ones;
 h is affine on affine quotients, first projection on majority edges and
-x(yz) on semilattice ones.  The constructive merge recurrences are tried
-first; whenever a merge step's assumptions fail the search falls back to
-filtering the (capped) binary/ternary term slices against the same
-per-edge condition matrix, which is the actual contract.
+x(yz) on semilattice ones.  ``_CONDITIONS`` holds this per-edge condition
+matrix, which is the actual contract.  Each operation is the first of its
+candidates, in this order, that meets its row of the matrix:
+
+- f: the first projection when no edge is strict semilattice, the
+  semilattice witnesses, their merge by ``compose_fold_f``, and the
+  ``projectionized`` merge;
+- g: ``g_from_f(f)``, the majority witnesses, and
+  ``compose_with_f_sym(g_doubleprime(merge), f)`` of their merge;
+- h: ``g_from_f(f)`` and the affine witnesses.
+
+When every candidate fails, the (capped) binary/ternary term slice is
+filtered against the same row; ``good_f`` searches f and its iterates,
+then the binary slice, the same way.  A failed row raises SynthesisError
+naming the first condition its first candidate fails.
 
 Thin edges refine thick ones to ordered pairs of elements with witness
 operations acting on the elements themselves: a <= b when f(a,b)=f(b,a)=b;
@@ -18,6 +29,7 @@ conditions and an explicit witness found by subpower membership.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -33,11 +45,11 @@ from .core import (
     VerificationError,
     product_algebra,
     product_encode,
+    projection,
     term_table,
 )
 from .edges import (
     AFFINE,
-    EDGE_TYPES,
     MAJORITY,
     SEMILATTICE,
     STRICT_AFFINE,
@@ -79,9 +91,6 @@ class UnifiedOps:
     edges: tuple[EdgeInfo, ...]
     provenance: dict
 
-    def strict_edges(self, label: str) -> list[EdgeInfo]:
-        return [e for e in self.edges if e.strict == label]
-
 
 @dataclass(frozen=True)
 class ThinEdge:
@@ -105,10 +114,8 @@ def _blocks(e: EdgeInfo, kind: str) -> tuple[list[int], list[int]]:
 
 
 def _values(table: OpTable, *argsets: Sequence[int]) -> set[int]:
-    out = set()
-    for args in np.stack(np.meshgrid(*[np.asarray(s) for s in argsets], indexing="ij")).reshape(len(argsets), -1).T:
-        out.add(table(*[int(v) for v in args]))
-    return out
+    """The values of ``table`` over the product of the argument sets."""
+    return set(table.table()[np.ix_(*argsets)].ravel().tolist())
 
 
 def cond_f_semilattice(f: OpTable, e: EdgeInfo) -> bool:
@@ -120,37 +127,17 @@ def cond_f_semilattice(f: OpTable, e: EdgeInfo) -> bool:
 
 def _cond_proj1(table: OpTable, ablk: list[int], bblk: list[int]) -> bool:
     """table acts as the first projection on the two-block quotient set."""
-    sa, sb = set(ablk), set(bblk)
-    arity = table.arity
-    for first, target in ((ablk, sa), (bblk, sb)):
-        rest = [ablk + bblk] * (arity - 1)
-        if not _values(table, first, *rest) <= target:
-            return False
-    return True
-
-
-def cond_f_proj1(f: OpTable, e: EdgeInfo) -> bool:
-    kind = MAJORITY if e.strict == STRICT_MAJORITY else AFFINE
-    ablk, bblk = _blocks(e, kind)
-    return _cond_proj1(f, ablk, bblk)
+    rest = [ablk + bblk] * (table.arity - 1)
+    return all(_values(table, first, *rest) <= set(first) for first in (ablk, bblk))
 
 
 def cond_g_majority(g: OpTable, e: EdgeInfo) -> bool:
     ablk, bblk = _blocks(e, MAJORITY)
-    for one, two in ((ablk, bblk), (bblk, ablk)):
-        target = set(two)
-        if not _values(g, one, two, two) <= target:
-            return False
-        if not _values(g, two, one, two) <= target:
-            return False
-        if not _values(g, two, two, one) <= target:
-            return False
-    return True
-
-
-def cond_proj1_on(table: OpTable, e: EdgeInfo, kind: str) -> bool:
-    ablk, bblk = _blocks(e, kind)
-    return _cond_proj1(table, ablk, bblk)
+    return all(
+        _values(g, *args) <= set(two)
+        for one, two in ((ablk, bblk), (bblk, ablk))
+        for args in ((one, two, two), (two, one, two), (two, two, one))
+    )
 
 
 def _f_two_block_action(f: OpTable, ablk: list[int], bblk: list[int]):
@@ -187,84 +174,65 @@ def cond_sl_composition(table: OpTable, f: OpTable, e: EdgeInfo) -> bool:
 
 def cond_h_affine(h: OpTable, e: EdgeInfo) -> bool:
     """h acts on the whole quotient as x-y+z of some certified group."""
-    theta = e.theta[AFFINE]
-    carrier = e.carrier
-    loc = {x: i for i, x in enumerate(carrier)}
-    reps = sorted(set(theta.block_id))
-    qlab = {r: i for i, r in enumerate(reps)}
-    bm = [qlab[theta.block_id[i]] for i in range(len(carrier))]
-    q = len(reps)
-    for cert in e.affine_certs:
-        m = cert.maltsev
-        ok = True
-        for x in carrier:
-            for y in carrier:
-                for z in carrier:
-                    v = h(x, y, z)
-                    if v not in loc:
-                        return False
-                    if bm[loc[v]] != m(bm[loc[x]], bm[loc[y]], bm[loc[z]]):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            return True
-    return False
+    bid = e.theta[AFFINE].block_id
+    reps = sorted(set(bid))
+    # quotient label of every element of the carrier, -1 outside it
+    quot = np.full(h.size, -1)
+    quot[list(e.carrier)] = [reps.index(r) for r in bid]
+    q = quot[list(e.carrier)]
+    vals = quot[h.table()[np.ix_(e.carrier, e.carrier, e.carrier)]]
+    if (vals < 0).any():
+        return False
+    return any(np.array_equal(vals, c.maltsev.table()[np.ix_(q, q, q)]) for c in e.affine_certs)
 
 
-_COND_NAMES = {
-    (STRICT_SEMILATTICE, "f"): "f-semilattice",
-    (STRICT_MAJORITY, "f"): "f-proj1",
-    (STRICT_AFFINE, "f"): "f-proj1",
-    (STRICT_SEMILATTICE, "g"): "g-sl-composition",
-    (STRICT_MAJORITY, "g"): "g-majority",
-    (STRICT_AFFINE, "g"): "g-proj1",
-    (STRICT_SEMILATTICE, "h"): "h-sl-composition",
-    (STRICT_MAJORITY, "h"): "h-proj1",
-    (STRICT_AFFINE, "h"): "h-affine",
+def _proj1(kind: str):
+    """The first-projection condition on an edge's ``kind`` blocks."""
+    return lambda table, f, e: _cond_proj1(table, *_blocks(e, kind))
+
+
+# (strict label, row) -> (condition name, check(table, f, edge)).  Rows are
+# "f", "g" and "h"; ``f`` is the unified binary operation, which only the
+# semilattice compositions of g and h read.
+_CONDITIONS = {
+    (STRICT_SEMILATTICE, "f"): ("f-semilattice", lambda t, f, e: cond_f_semilattice(t, e)),
+    (STRICT_MAJORITY, "f"): ("f-proj1", _proj1(MAJORITY)),
+    (STRICT_AFFINE, "f"): ("f-proj1", _proj1(AFFINE)),
+    (STRICT_SEMILATTICE, "g"): ("g-sl-composition", cond_sl_composition),
+    (STRICT_MAJORITY, "g"): ("g-majority", lambda t, f, e: cond_g_majority(t, e)),
+    (STRICT_AFFINE, "g"): ("g-proj1", _proj1(AFFINE)),
+    (STRICT_SEMILATTICE, "h"): ("h-sl-composition", cond_sl_composition),
+    (STRICT_MAJORITY, "h"): ("h-proj1", _proj1(MAJORITY)),
+    (STRICT_AFFINE, "h"): ("h-affine", lambda t, f, e: cond_h_affine(t, e)),
 }
 
 
-def _check_one(which: str, table: OpTable, f: OpTable | None, e: EdgeInfo) -> bool:
-    if which == "f":
-        if e.strict == STRICT_SEMILATTICE:
-            return cond_f_semilattice(table, e)
-        return cond_f_proj1(table, e)
-    if which == "g":
-        if e.strict == STRICT_SEMILATTICE:
-            return cond_sl_composition(table, f, e)
-        if e.strict == STRICT_MAJORITY:
-            return cond_g_majority(table, e)
-        return cond_proj1_on(table, e, AFFINE)
-    if which == "h":
-        if e.strict == STRICT_SEMILATTICE:
-            return cond_sl_composition(table, f, e)
-        if e.strict == STRICT_MAJORITY:
-            return cond_proj1_on(table, e, MAJORITY)
-        return cond_h_affine(table, e)
-    raise AlgebraError(f"unknown condition family {which}")
+def _first_failure(which: str, table: OpTable, f: OpTable | None, edges: Sequence[EdgeInfo]):
+    """``((a, b), condition name)`` of the first strict edge whose ``which``
+    condition ``table`` fails, or None when the whole row holds."""
+    for e in edges:
+        if e.strict is None:
+            continue
+        name, check = _CONDITIONS[(e.strict, which)]
+        if not check(table, f, e):
+            return (e.a, e.b), name
+    return None
 
 
 def unified_conditions(alg: Algebra, edges: Sequence[EdgeInfo], f: OpTable, g: OpTable, h: OpTable):
     """Evaluate the whole condition matrix; returns (all_ok, matrix, first_failure)."""
     matrix = {}
     first_fail = None
-    ok = True
     for e in edges:
         if e.strict is None:
             continue
         for which, table in (("f", f), ("g", g), ("h", h)):
-            name = _COND_NAMES[(e.strict, which)]
-            res = _check_one(which, table, f, e)
+            name, check = _CONDITIONS[(e.strict, which)]
+            res = check(table, f, e)
             matrix[((e.a, e.b), name)] = res
             if not res and first_fail is None:
                 first_fail = ((e.a, e.b), name)
-                ok = False
-            ok = ok and res
-    return ok, matrix, first_fail
+    return first_fail is None, matrix, first_fail
 
 
 # ---------------------------------------------------------------------------
@@ -334,24 +302,8 @@ def compose_with_f_sym(table: OpTable, f: OpTable) -> OpTable:
     return OpTable(table.name, 3, n, vals.reshape(-1))
 
 
-def hbar_from_g(h: OpTable, g: OpTable) -> OpTable:
-    """x,y,z -> p(h(x,y,z), x) with p(x,y) = g(x,y,y)."""
-    n = h.size
-    gt = g.table()
-    x = np.indices((n, n, n))[0]
-    ht = h.table()
-    vals = gt[ht, x, x]
-    return OpTable("h", 3, n, vals.reshape(-1))
-
-
 # ---------------------------------------------------------------------------
 # Synthesis
-
-
-def _proj_table(n: int, arity: int) -> OpTable:
-    from .core import projection
-
-    return projection(n, arity, 0, "p0")
 
 
 def _witness_tables(alg: Algebra, edges, kind: str, arity: int) -> list[OpTable]:
@@ -368,164 +320,111 @@ def _witness_tables(alg: Algebra, edges, kind: str, arity: int) -> list[OpTable]
     return out
 
 
-def _first_passing(candidates, check) -> OpTable | None:
+def _search(alg: Algebra, arity: int, candidates, check, budget: ClosureBudget):
+    """The first of ``candidates``, else of the arity-``arity`` term slice,
+    that passes ``check``: ``(table or None, whether the slice was capped)``."""
     for t in candidates:
         if check(t):
-            return t
-    return None
+            return t, False
+    tables, status = term_slice(alg, arity, budget)
+    return next((t for t in tables if check(t)), None), status != "complete"
 
 
-def _synth_f(alg: Algebra, edges, budget: ClosureBudget):
+def _f_candidates(alg: Algebra, edges):
     s_edges = [e for e in edges if e.strict == STRICT_SEMILATTICE]
-    other = [e for e in edges if e.strict in (STRICT_MAJORITY, STRICT_AFFINE)]
-
-    def check(t: OpTable) -> bool:
-        return all(cond_f_semilattice(t, e) for e in s_edges) and all(
-            cond_f_proj1(t, e) for e in other
-        )
-
-    candidates: list[OpTable] = []
     if not s_edges:
-        candidates.append(_proj_table(alg.size, 2))
+        yield projection(alg.size, 2, 0, "p0")
     wits = _witness_tables(alg, s_edges, SEMILATTICE, 2)
-    candidates.extend(wits)
-    # constructive merge: fold remaining witnesses over the current candidate
+    yield from wits
     if wits:
+        # constructive merge: fold remaining witnesses over the current candidate
         cur = wits[0]
         for e in s_edges:
-            if cond_f_semilattice(cur, e):
-                continue
-            wt = term_table(alg, e.witnesses[SEMILATTICE], 2)
-            cur = compose_fold_f(wt, cur)
-        candidates.append(cur)
-        candidates.append(projectionized(cur))
-    candidates.extend(projectionized(w) for w in wits)
-    found = _first_passing(candidates, check)
-    capped = False
-    if found is None:
-        tables, status = term_slice(alg, 2, budget)
-        capped = status != "complete"
-        found = _first_passing(tables, check)
-    return found, check, capped
+            if not cond_f_semilattice(cur, e):
+                cur = compose_fold_f(term_table(alg, e.witnesses[SEMILATTICE], 2), cur)
+        yield cur
+        yield projectionized(cur)
 
 
-def _synth_g(alg: Algebra, edges, f: OpTable, budget: ClosureBudget):
+def _majority_merge(alg: Algebra, m_edges, cur: OpTable) -> OpTable:
+    """Merge into ``cur`` the witness of every majority edge it fails."""
+    n = alg.size
+    x, y = np.indices((n, n))
+    for e in m_edges:
+        if cond_g_majority(cur, e):
+            continue
+        # permute arguments of cur so that (x,y,y) acts as first projection
+        # on this edge, then merge with the edge's own witness
+        for perm in ((0, 1, 2), (1, 0, 2), (2, 1, 0), (1, 2, 0), (2, 0, 1), (0, 2, 1)):
+            pt = permuted_ternary(cur, perm).table()[x, y, y]
+            p = OpTable("p", 2, n, pt.reshape(-1))
+            if _cond_proj1(p, *_blocks(e, MAJORITY)):
+                wt = term_table(alg, e.witnesses[MAJORITY], 3)
+                cur = ternary_compose_outer(p, wt, cur)
+                break
+    return cur
+
+
+def _g_candidates(alg: Algebra, edges, f: OpTable):
+    yield g_from_f(f)
     m_edges = [e for e in edges if e.strict == STRICT_MAJORITY]
-
-    def check(t: OpTable) -> bool:
-        return all(_check_one("g", t, f, e) for e in edges if e.strict)
-
-    candidates: list[OpTable] = [g_from_f(f)]
     wits = _witness_tables(alg, m_edges, MAJORITY, 3)
-    candidates.extend(wits)
+    yield from wits
     if wits:
-        cur = wits[0]
-        for e in m_edges:
-            if cond_g_majority(cur, e):
-                continue
-            # permute arguments of cur so that (x,y,y) acts as first projection
-            # on this edge, then merge with the edge's own witness
-            ablk, bblk = _blocks(e, MAJORITY)
-            p = None
-            for perm in ((0, 1, 2), (1, 0, 2), (2, 1, 0), (1, 2, 0), (2, 0, 1), (0, 2, 1)):
-                gp = permuted_ternary(cur, perm)
-                pt = OpTable("p", 2, alg.size, gp.table()[
-                    np.indices((alg.size, alg.size))[0],
-                    np.indices((alg.size, alg.size))[1],
-                    np.indices((alg.size, alg.size))[1],
-                ].reshape(-1))
-                if _cond_proj1(pt, ablk, bblk):
-                    p = pt
-                    break
-            if p is None:
-                continue
-            wt = term_table(alg, e.witnesses[MAJORITY], 3)
-            cur = ternary_compose_outer(p, wt, cur)
-        candidates.append(cur)
-        candidates.append(g_doubleprime(cur))
-        candidates.append(compose_with_f_sym(g_doubleprime(cur), f))
-        candidates.append(compose_with_f_sym(cur, f))
-    candidates.extend(compose_with_f_sym(w, f) for w in wits)
-    found = _first_passing(candidates, check)
-    capped = False
+        yield compose_with_f_sym(g_doubleprime(_majority_merge(alg, m_edges, wits[0])), f)
+
+
+def _h_candidates(alg: Algebra, edges, f: OpTable):
+    yield g_from_f(f)
+    yield from _witness_tables(alg, [e for e in edges if e.strict == STRICT_AFFINE], AFFINE, 3)
+
+
+def _synthesize(which: str, alg: Algebra, candidates, f, edges, budget: ClosureBudget) -> OpTable:
+    """The first candidate, else term-slice table, meeting row ``which``.
+
+    Raises SynthesisError naming the first condition of the row that the
+    first candidate fails.
+    """
+    arity = 2 if which == "f" else 3
+    candidates = iter(candidates)
+    first = next(candidates)
+    found, capped = _search(
+        alg,
+        arity,
+        itertools.chain([first], candidates),
+        lambda t: _first_failure(which, t, f, edges) is None,
+        budget,
+    )
     if found is None:
-        tables, status = term_slice(alg, 3, budget)
-        capped = status != "complete"
-        found = _first_passing(tables, check)
-    return found, check, capped
-
-
-def _synth_h(alg: Algebra, edges, f: OpTable, g: OpTable, budget: ClosureBudget):
-    a_edges = [e for e in edges if e.strict == STRICT_AFFINE]
-
-    def check(t: OpTable) -> bool:
-        return all(_check_one("h", t, f, e) for e in edges if e.strict)
-
-    candidates: list[OpTable] = [g_from_f(f)]
-    wits = _witness_tables(alg, a_edges, AFFINE, 3)
-    candidates.extend(wits)
-    for w in wits:
-        candidates.append(hbar_from_g(w, g))
-        candidates.append(compose_with_f_sym(hbar_from_g(w, g), f))
-        candidates.append(compose_with_f_sym(w, f))
-    found = _first_passing(candidates, check)
-    capped = False
-    if found is None:
-        tables, status = term_slice(alg, 3, budget)
-        capped = status != "complete"
-        found = _first_passing(tables, check)
-    return found, check, capped
+        raise SynthesisError(
+            f"no {'binary' if arity == 2 else 'ternary'} term operation satisfies the "
+            f"{which}-conditions{' (slice capped)' if capped else ''}; "
+            f"first failure: {_first_failure(which, first, f, edges)}",
+            capped,
+        )
+    return found
 
 
 def synth_unified(alg: Algebra, edges: Sequence[EdgeInfo], budget: ClosureBudget = DEFAULT_BUDGET) -> UnifiedOps:
     """Find f, g, h meeting the full condition matrix on the given edges.
 
-    Constructive merges over the per-edge witnesses are tried before an
-    exhaustive filter of the binary/ternary term slices.  Raises
-    SynthesisError naming the first failing edge and condition when the
-    matrix cannot be satisfied within the budget.
+    Each operation is the first of its candidates (listed in the module
+    docstring) that meets its row of the matrix, else the first such table
+    of the binary/ternary term slice.  Raises SynthesisError when a row
+    cannot be met within the budget, naming the first edge and condition
+    that the row's first candidate fails, and "(slice capped)" when the
+    slice search was cut short.
     """
     edges = tuple(e for e in edges if e.is_edge())
-    f, f_check, f_capped = _synth_f(alg, edges, budget)
-    if f is None:
-        detail = _name_first_failure(alg, edges, "f", None)
-        raise SynthesisError(
-            f"no binary term operation satisfies the f-conditions"
-            f"{' (slice capped)' if f_capped else ''}; first failure: {detail}",
-            f_capped,
-        )
-    g, g_check, g_capped = _synth_g(alg, edges, f, budget)
-    if g is None:
-        detail = _name_first_failure(alg, edges, "g", f)
-        raise SynthesisError(
-            f"no ternary term operation satisfies the g-conditions"
-            f"{' (slice capped)' if g_capped else ''}; first failure: {detail}",
-            g_capped,
-        )
-    h, h_check, h_capped = _synth_h(alg, edges, f, g, budget)
-    if h is None:
-        detail = _name_first_failure(alg, edges, "h", f)
-        raise SynthesisError(
-            f"no ternary term operation satisfies the h-conditions"
-            f"{' (slice capped)' if h_capped else ''}; first failure: {detail}",
-            h_capped,
-        )
+    f = _synthesize("f", alg, _f_candidates(alg, edges), None, edges, budget)
+    g = _synthesize("g", alg, _g_candidates(alg, edges, f), f, edges, budget)
+    h = _synthesize("h", alg, _h_candidates(alg, edges, f), f, edges, budget)
     ok, matrix, first_fail = unified_conditions(alg, edges, f, g, h)
     if not ok:
         raise SynthesisError(f"condition matrix failed after synthesis at {first_fail}", False)
     return UnifiedOps(
         f=f.renamed("f"), g=g.renamed("g"), h=h.renamed("h"), edges=edges, provenance=matrix
     )
-
-
-def _name_first_failure(alg, edges, which, f):
-    for e in edges:
-        if e.strict is None:
-            continue
-        name = _COND_NAMES.get((e.strict, which))
-        if name is not None:
-            return ((e.a, e.b), name)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -640,61 +539,47 @@ def check_identities(ops: UnifiedOps) -> bool:
 # The good binary operation
 
 
+def _good_f_candidates(f: OpTable):
+    """f and its iterates x,y -> f(x, f(f_i(x,y), x)) until one repeats."""
+    n = f.size
+    f0 = f.table()
+    x = np.indices((n, n))[0]
+    cur = f
+    yield cur
+    for _ in range(n * n + 2):
+        nxt = OpTable("f'", 2, n, f0[x, f0[cur.table(), x]].reshape(-1))
+        if np.array_equal(nxt.values, cur.values):
+            return
+        cur = nxt
+        yield cur
+
+
 def good_f(alg: Algebra, ops: UnifiedOps, budget: ClosureBudget = DEFAULT_BUDGET) -> OpTable:
     """Improve f so that f(a,b) = a or (a, f(a,b)) is a thin semilattice edge.
 
-    Iterates x,y -> f(x, f(f_i(x,y), x)) until the condition verifies,
-    keeping the semilattice behavior on every thick edge; if the iteration
-    does not stabilize, the binary term slice is searched instead.
+    Tries f and its iterates x,y -> f(x, f(f_i(x,y), x)), then the binary
+    term slice, for a table that is good in this sense, keeps the f row of
+    the condition matrix and satisfies f(x, f(x,y)) = f(x,y).
     """
-    s_edges = ops.strict_edges(STRICT_SEMILATTICE)
-    others = [e for e in ops.edges if e.strict in (STRICT_MAJORITY, STRICT_AFFINE)]
+    x = np.indices((alg.size, alg.size))[0]
 
-    def good(table: OpTable) -> bool:
+    def check(table: OpTable) -> bool:
         t = table.table()
-        for a in range(alg.size):
-            for b in range(alg.size):
-                c = t[a, b]
-                if c == a:
-                    continue
-                if t[a, c] != c or t[c, a] != c:
-                    return False
-        return True
-
-    def keeps_matrix(table: OpTable) -> bool:
-        return all(cond_f_semilattice(table, e) for e in s_edges) and all(
-            cond_f_proj1(table, e) for e in others
+        # c = f(a,b) is a, or f(a,c) = f(c,a) = c
+        return (
+            bool(((t == x) | ((t[x, t] == t) & (t[t, x] == t))).all())
+            and _first_failure("f", table, None, ops.edges) is None
+            and np.array_equal(t[x, t], t)
         )
 
-    def idempotent_rows(table: OpTable) -> bool:
-        t = table.table()
-        x, y = np.indices((alg.size, alg.size))
-        return bool(np.array_equal(t[x, t[x, y]], t[x, y]))
-
-    cur = ops.f
-    f0 = ops.f.table()
-    for _ in range(alg.size * alg.size + 2):
-        if good(cur) and keeps_matrix(cur) and idempotent_rows(cur):
-            return cur.renamed("f'")
-        t = cur.table()
-        x = np.indices((alg.size, alg.size))[0]
-        vals = f0[x, f0[t, x]]
-        nxt = OpTable("f'", 2, alg.size, vals.reshape(-1))
-        if np.array_equal(nxt.values, cur.values):
-            break
-        cur = nxt
-    if good(cur) and keeps_matrix(cur) and idempotent_rows(cur):
-        return cur.renamed("f'")
-    tables, status = term_slice(alg, 2, budget)
-    for t in tables:
-        if good(t) and keeps_matrix(t) and idempotent_rows(t):
-            return t.renamed("f'")
-    capped = status != "complete"
-    raise SynthesisError(
-        "no binary term operation is good for thin semilattice edges"
-        + (" (slice capped)" if capped else ""),
-        capped,
-    )
+    found, capped = _search(alg, 2, _good_f_candidates(ops.f), check, budget)
+    if found is None:
+        raise SynthesisError(
+            "no binary term operation is good for thin semilattice edges"
+            + (" (slice capped)" if capped else ""),
+            capped,
+        )
+    return found.renamed("f'")
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from algraph.core import Algebra, OpTable
 from algraph.fixtures import fixture
-from algraph.verify import Analysis
+from algraph.verify import Analysis, iter_idempotent_algebras
 
 
 @pytest.fixture(scope="session")
@@ -26,6 +26,17 @@ class Pipeline:
         self.ops = ana.unified()
         self.fprime = ana.fprime()
         self.thin = ana.thin()
+
+
+@pytest.fixture(scope="session")
+def populations(algs):
+    """Analyses by population, in enumeration order: every fixture, and the
+    Taylor algebras of size 2 binary/ternary and size 3 binary."""
+    out = {"fixtures": [Analysis(alg) for alg in algs.values()]}
+    for tag, size, signature in (("b2", 2, "binary"), ("t2", 2, "ternary"), ("b3", 3, "binary")):
+        anas = (Analysis(alg) for alg in iter_idempotent_algebras(size, signature))
+        out[tag] = [ana for ana in anas if ana.taylor()]
+    return out
 
 
 @pytest.fixture(scope="session")

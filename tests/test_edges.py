@@ -111,8 +111,8 @@ def test_classification_symmetric(algs):
                 )
 
 
-def _assert_subgraphs_are_restrictions(alg):
-    full = edge_graph(alg)
+def _assert_subgraphs_are_restrictions(ana):
+    alg, full = ana.alg, ana.graph()
     same = list(range(alg.size))
     for carrier in all_subuniverses(alg, min_size=2):
         if len(carrier) == alg.size:
@@ -123,15 +123,12 @@ def _assert_subgraphs_are_restrictions(alg):
             assert _pair_content(e, labels) == _pair_content(whole, same), (alg.name, carrier, x, y)
 
 
-def test_subalgebra_graph_is_restriction(algs):
+def test_subalgebra_graph_is_restriction(populations):
     """The edge graph of a subalgebra equals the restriction of the whole
     graph: the reference for reading subgraphs instead of classifying."""
-    for alg in algs.values():
-        _assert_subgraphs_are_restrictions(alg)
-    for size, signature in ((2, "binary"), (2, "ternary"), (3, "binary")):
-        for alg in iter_idempotent_algebras(size, signature):
-            if omits_type1(alg):
-                _assert_subgraphs_are_restrictions(alg)
+    for anas in populations.values():
+        for ana in anas:
+            _assert_subgraphs_are_restrictions(ana)
 
 
 def test_theta_minimality(algs):

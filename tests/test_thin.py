@@ -1,13 +1,18 @@
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
 from algraph.core import Algebra, AlgebraError, OpTable, UNKNOWN, VerificationError, projection
-from algraph.edges import AFFINE, MAJORITY, SEMILATTICE
+from algraph.edges import AFFINE, MAJORITY, SEMILATTICE, STRICT_AFFINE
 from algraph.thin import (
     ThinEdge,
     UnifiedOps,
+    _values,
     all_thin_edges,
     check_identities,
+    cond_h_affine,
     enforce_identities,
     find_thin_affine,
     find_thin_majority,
@@ -48,6 +53,65 @@ def test_synth_a2_z3a(pipelines):
     assert list(p.ops.h.values) == [0, 1, 1, 0, 1, 0, 0, 1]  # x+y+z mod 2
     z = pipelines["Z3A"]
     assert list(z.ops.h.values) == [(x - y + z) % 3 for x in range(3) for y in range(3) for z in range(3)]
+
+
+# sha256 (first 16 hex digits) over the name and values of f, g, h and f'
+# of every Taylor algebra, in enumeration order: pruning synthesis
+# candidates must leave every synthesized table unchanged
+REFERENCE_TABLES = {
+    "fixtures": "ad5242d01434c0a6",
+    "b2": "945345d386018c5b",
+    "t2": "782138ad7ffd0f18",
+    "b3": "ae6e743a28a46ef1",
+}
+
+
+def test_synthesized_tables_match_reference(populations):
+    """f, g, h and f' are the tables the full candidate lists produced."""
+    digests = {}
+    for tag, anas in populations.items():
+        h = hashlib.sha256()
+        for ana in anas:
+            if not ana.taylor():
+                continue
+            ops = ana.unified()
+            for t in (ops.f, ops.g, ops.h, ana.fprime()):
+                h.update(ana.alg.name.encode())
+                h.update(t.values.tobytes())
+        digests[tag] = h.hexdigest()[:16]
+    assert digests == REFERENCE_TABLES
+
+
+def _loop_h_affine(h, e):
+    """cond_h_affine evaluated tuple by tuple."""
+    bid = e.theta[AFFINE].block_id
+    reps = sorted(set(bid))
+    label = {x: reps.index(bid[i]) for i, x in enumerate(e.carrier)}
+    return any(
+        all(
+            h(x, y, z) in label
+            and label[h(x, y, z)] == cert.maltsev(label[x], label[y], label[z])
+            for x, y, z in itertools.product(e.carrier, repeat=3)
+        )
+        for cert in e.affine_certs
+    )
+
+
+def test_vectorised_conditions_match_loops(pipelines):
+    """_values and cond_h_affine agree with their tuple-by-tuple forms."""
+    rng = np.random.default_rng(0)
+    for name in ("A2", "Z3A", "RPS", "S3chain"):
+        p = pipelines[name]
+        n = p.alg.size
+        tables = [p.ops.h] + [table(rng.integers(0, n, n**3), 3, n, "h") for _ in range(20)]
+        for t in tables:
+            argsets = [sorted(set(rng.integers(0, n, 2).tolist())) for _ in range(3)]
+            assert _values(t, *argsets) == {t(*a) for a in itertools.product(*argsets)}
+            for e in p.edges:
+                if e.strict == STRICT_AFFINE:
+                    assert cond_h_affine(t, e) == _loop_h_affine(t, e)
+    z3 = pipelines["Z3A"]
+    assert all(cond_h_affine(z3.ops.h, e) for e in z3.edges)
 
 
 def test_condition_matrix_recorded(pipelines):

@@ -41,6 +41,16 @@ def test_capped_synthesis_is_unknown(check, monkeypatch):
     assert "slice capped" in rep.detail["error"]
 
 
+def test_synthesis_error_names_the_failed_condition(monkeypatch):
+    """The error names a condition that the first f candidate fails; the
+    first strict edge (0, 1) is one it meets."""
+    alg = idempotent_algebra(3, "binary", 3)
+    monkeypatch.setattr(algraph.thin, "term_slice", lambda *args: ([], "complete"))
+    rep = check_uniform(Analysis(alg))
+    assert rep.status == "fail", rep.detail
+    assert "first failure: ((0, 2), 'f-semilattice')" in rep.detail["error"]
+
+
 def test_check_reduct_builds_slices_once(algs, monkeypatch):
     calls = []
 
