@@ -3,29 +3,20 @@
 #
 # f is semilattice on semilattice edges and the first projection on the
 # others; g is majority on majority edges; h is affine on affine quotients.
-# After synthesis the operations are iterated into absorption form
+# Synthesis iterates the operations into absorption form
 # (f(x,f(x,y)) = f(x,y) and friends) and f is further improved so that
 # f(a,b) = a or a -> f(a,b) is a thin semilattice edge for every a, b.
 
-from algraph import (
-    edge_graph,
-    enforce_identities,
-    good_f,
-    synth_unified,
-    thin_semilattice_edges,
-    unified_conditions,
-)
+from algraph import edge_graph, good_f, synth_unified, thin_semilattice_edges
 from algraph.fixtures import A2, M2, RPS, S2
 
 for name, alg in (("S2", S2()), ("M2", M2()), ("A2", A2()), ("RPS", RPS())):
     graph = edge_graph(alg)
     ops = synth_unified(alg, graph.edge_list())
-    ops = enforce_identities(ops, alg)
     print(f"{name}: f={list(map(int, ops.f.values))}")
     print(f"     g={list(map(int, ops.g.values))}")
     print(f"     h={list(map(int, ops.h.values))}")
-    ok, matrix, _ = unified_conditions(alg, ops.edges, ops.f, ops.g, ops.h)
-    print("     all edge conditions hold:", ok)
+    print("     all edge conditions hold:", all(ops.provenance.values()))
 
     fp = good_f(alg, ops)
     arcs = [(t.src, t.dst) for t in thin_semilattice_edges(alg, fp)]

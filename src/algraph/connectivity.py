@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import Algebra, AlgebraError
-from .congruence import Tolerance, is_connected_tolerance, link_tolerance
+from .congruence import is_connected_tolerance, link_tolerance
 from .edges import AFFINE, MAJORITY, SEMILATTICE
 from .subpower import SubUniverse
 from .thin import ThinEdge

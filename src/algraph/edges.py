@@ -49,15 +49,13 @@ from .core import (
     product_algebra,
     quotient_algebra,
     subalgebra_induced,
-    term_table,
 )
 from .subpower import (
     ClosureBudget,
     DEFAULT_BUDGET,
     closure_search,
-    extract_term,
+    find_term,
     generate_subuniverse,
-    member_with_witness,
 )
 
 SEMILATTICE = "semilattice"
@@ -127,15 +125,7 @@ def semilattice_witness(Q: Algebra, abar: int, bbar: int, budget: ClosureBudget 
     """
     if abar == bbar:
         raise AlgebraError("witness search requires distinct elements")
-    su = generate_subuniverse(
-        Q, 2, [(abar, bbar), (bbar, abar)], budget=budget, target=(bbar, bbar)
-    )
-    found, idx = member_with_witness(su, (bbar, bbar))
-    if found is True:
-        return extract_term(su, idx)
-    if found is UNKNOWN:
-        return UNKNOWN
-    return None
+    return find_term(Q, 2, [(abar, bbar), (bbar, abar)], (bbar, bbar), budget)
 
 
 def majority_witness(Q: Algebra, abar: int, bbar: int, budget: ClosureBudget = DEFAULT_BUDGET):
@@ -147,17 +137,8 @@ def majority_witness(Q: Algebra, abar: int, bbar: int, budget: ClosureBudget = D
     if abar == bbar:
         raise AlgebraError("witness search requires distinct elements")
     a, b = abar, bbar
-    g1 = (a, b, b, b, a, a)
-    g2 = (b, a, b, a, b, a)
-    g3 = (b, b, a, a, a, b)
-    target = (b, b, b, a, a, a)
-    su = generate_subuniverse(Q, 6, [g1, g2, g3], budget=budget, target=target)
-    found, idx = member_with_witness(su, target)
-    if found is True:
-        return extract_term(su, idx)
-    if found is UNKNOWN:
-        return UNKNOWN
-    return None
+    gens = [(a, b, b, b, a, a), (b, a, b, a, b, a), (b, b, a, a, a, b)]
+    return find_term(Q, 6, gens, (b, b, b, a, a, a), budget)
 
 
 def _abelian_structures(q: int) -> list[tuple[int, ...]]:
@@ -298,23 +279,12 @@ def affine_certificates(Q: Algebra, budget: ClosureBudget = DEFAULT_BUDGET):
     for g_table, ident, m in maltsev_tables(q):
         if not _commutes(Q, m):
             continue
-        target = tuple(int(v) for v in m.values)
-        su = generate_subuniverse(Q, q**3, gens, budget=budget, target=target)
-        found, idx = member_with_witness(su, target)
-        if found is True:
-            term = extract_term(su, idx)
-            certs.append(AffineCertificate(g_table, ident, m, term, True))
-        elif found is UNKNOWN:
+        term = find_term(Q, q**3, gens, tuple(int(v) for v in m.values), budget)
+        if term is UNKNOWN:
             capped = True
+        elif term is not None:
+            certs.append(AffineCertificate(g_table, ident, m, term, True))
     return certs, capped
-
-
-def affine_quotient_certificate(Q: Algebra, budget: ClosureBudget = DEFAULT_BUDGET):
-    """First affine certificate in canonical order, None, or UNKNOWN."""
-    certs, capped = affine_certificates(Q, budget)
-    if certs:
-        return certs[0]
-    return UNKNOWN if capped else None
 
 
 def classify_pair(alg: Algebra, a: int, b: int, budget: ClosureBudget = DEFAULT_BUDGET) -> EdgeInfo:

@@ -9,6 +9,9 @@ This makes element order, derivations and extracted terms reproducible.
 Tuples are stored as rows of a uint8 matrix; argument combinations are
 streamed in fixed-size chunks so memory stays bounded by the chunk size
 plus the element store.
+
+``find_term`` is the package's one witness search: membership of a target
+tuple, answered by a re-verified term, None, or UNKNOWN under a cap.
 """
 
 from __future__ import annotations
@@ -371,6 +374,27 @@ def extract_term(su: SubUniverse, element: int) -> TermExpr:
             f"extracted term {term} does not re-evaluate to element {element}"
         )
     return term
+
+
+def find_term(
+    alg: Algebra,
+    k: int,
+    gens: Sequence[Sequence[int]],
+    target: Sequence[int],
+    budget: ClosureBudget,
+):
+    """Term t over x0..x{m-1} (m = #generators) with t(gens) = target
+    coordinatewise, found as membership of the target in the subpower of
+    A^k generated by ``gens``.
+
+    Three-valued: the re-verified term, None when the complete closure lacks
+    the target, or UNKNOWN when a cap cut the closure short.
+    """
+    su = generate_subuniverse(alg, k, gens, budget=budget, target=target)
+    found, idx = member_with_witness(su, target)
+    if found is True:
+        return extract_term(su, idx)
+    return UNKNOWN if found is UNKNOWN else None
 
 
 def term_slice(

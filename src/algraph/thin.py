@@ -19,12 +19,19 @@ candidates, in this order, that meets its row of the matrix:
 When every candidate fails, the (capped) binary/ternary term slice is
 filtered against the same row; ``good_f`` searches f and its iterates,
 then the binary slice, the same way.  A failed row raises SynthesisError
-naming the first condition its first candidate fails.
+naming the first condition its first candidate fails.  ``synth_unified``
+hands the three tables to ``enforce_identities``, which evaluates the
+whole matrix once and records it as ``UnifiedOps.provenance``.
 
 Thin edges refine thick ones to ordered pairs of elements with witness
-operations acting on the elements themselves: a <= b when f(a,b)=f(b,a)=b;
-majority and affine thin edges additionally require the generated-subalgebra
-conditions and an explicit witness found by subpower membership.
+operations acting on the elements themselves: a <= b when f(a,b)=f(b,a)=b.
+Majority and affine thin edges (``is_thin``) differ only in the unified
+operation and the argument rows its witness maps to b; they additionally
+require the generated-subalgebra conditions and an explicit witness term.
+
+Every witness term, here and across algebras (``witness_majority_triple``,
+``witness_mixed``), comes from ``subpower.find_term``: the term, None when
+the complete closure lacks the target, or UNKNOWN when a cap cut it short.
 """
 
 from __future__ import annotations
@@ -61,7 +68,7 @@ from .edges import (
 from .subpower import (
     ClosureBudget,
     DEFAULT_BUDGET,
-    extract_term,
+    find_term,
     generate_subuniverse,
     member_with_witness,
     term_slice,
@@ -322,12 +329,14 @@ def _witness_tables(alg: Algebra, edges, kind: str, arity: int) -> list[OpTable]
 
 def _search(alg: Algebra, arity: int, candidates, check, budget: ClosureBudget):
     """The first of ``candidates``, else of the arity-``arity`` term slice,
-    that passes ``check``: ``(table or None, whether the slice was capped)``."""
+    that passes ``check``; None when the complete slice has none, UNKNOWN
+    when the slice was capped."""
     for t in candidates:
         if check(t):
-            return t, False
+            return t
     tables, status = term_slice(alg, arity, budget)
-    return next((t for t in tables if check(t)), None), status != "complete"
+    found = next((t for t in tables if check(t)), None)
+    return UNKNOWN if found is None and status != "complete" else found
 
 
 def _f_candidates(alg: Algebra, edges):
@@ -388,14 +397,15 @@ def _synthesize(which: str, alg: Algebra, candidates, f, edges, budget: ClosureB
     arity = 2 if which == "f" else 3
     candidates = iter(candidates)
     first = next(candidates)
-    found, capped = _search(
+    found = _search(
         alg,
         arity,
         itertools.chain([first], candidates),
         lambda t: _first_failure(which, t, f, edges) is None,
         budget,
     )
-    if found is None:
+    if found is None or found is UNKNOWN:
+        capped = found is UNKNOWN
         raise SynthesisError(
             f"no {'binary' if arity == 2 else 'ternary'} term operation satisfies the "
             f"{which}-conditions{' (slice capped)' if capped else ''}; "
@@ -406,7 +416,8 @@ def _synthesize(which: str, alg: Algebra, candidates, f, edges, budget: ClosureB
 
 
 def synth_unified(alg: Algebra, edges: Sequence[EdgeInfo], budget: ClosureBudget = DEFAULT_BUDGET) -> UnifiedOps:
-    """Find f, g, h meeting the full condition matrix on the given edges.
+    """Find f, g, h meeting the full condition matrix on the given edges,
+    with the absorption identities enforced (``enforce_identities``).
 
     Each operation is the first of its candidates (listed in the module
     docstring) that meets its row of the matrix, else the first such table
@@ -419,12 +430,9 @@ def synth_unified(alg: Algebra, edges: Sequence[EdgeInfo], budget: ClosureBudget
     f = _synthesize("f", alg, _f_candidates(alg, edges), None, edges, budget)
     g = _synthesize("g", alg, _g_candidates(alg, edges, f), f, edges, budget)
     h = _synthesize("h", alg, _h_candidates(alg, edges, f), f, edges, budget)
-    ok, matrix, first_fail = unified_conditions(alg, edges, f, g, h)
-    if not ok:
-        raise SynthesisError(f"condition matrix failed after synthesis at {first_fail}", False)
-    return UnifiedOps(
-        f=f.renamed("f"), g=g.renamed("g"), h=h.renamed("h"), edges=edges, provenance=matrix
-    )
+    # each row was checked against the final f; enforce_identities checks
+    # the whole matrix once more after iterating
+    return enforce_identities(UnifiedOps(f=f, g=g, h=h, edges=edges, provenance={}), alg)
 
 
 # ---------------------------------------------------------------------------
@@ -572,8 +580,9 @@ def good_f(alg: Algebra, ops: UnifiedOps, budget: ClosureBudget = DEFAULT_BUDGET
             and np.array_equal(t[x, t], t)
         )
 
-    found, capped = _search(alg, 2, _good_f_candidates(ops.f), check, budget)
-    if found is None:
+    found = _search(alg, 2, _good_f_candidates(ops.f), check, budget)
+    if found is None or found is UNKNOWN:
+        capped = found is UNKNOWN
         raise SynthesisError(
             "no binary term operation is good for thin semilattice edges"
             + (" (slice capped)" if capped else ""),
@@ -603,7 +612,8 @@ def _theta_blocks_tuple(e: EdgeInfo, kind: str) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(b) for b in e.theta_blocks(kind))
 
 
-def is_thin_majority(
+def is_thin(
+    kind: str,
     alg: Algebra,
     a: int,
     b: int,
@@ -611,106 +621,56 @@ def is_thin_majority(
     ops: UnifiedOps,
     budget: ClosureBudget = DEFAULT_BUDGET,
 ):
-    """ThinEdge if (a, b) is a thin majority edge, None if not, UNKNOWN if capped.
+    """ThinEdge if (a, b) is a thin ``kind`` edge (majority or affine), None
+    if not, UNKNOWN if a capped search left it open.
 
-    ``e`` is the classification of the pair in either orientation.
-    Conditions: (a) the pair is a majority edge with minimal witnessing
+    ``e`` is the classification of the pair in either orientation.  Each
+    kind has a unified operation and argument rows: g with (a,b,b),
+    (b,a,b), (b,b,a) for majority, h with (b,a,a), (a,a,b) for affine.
+    Conditions: (a) the pair is a ``kind`` edge with minimal witnessing
     congruence theta; (b) every c in b's theta-block satisfies
-    b in Sg{a, c}; (c) g(a,b,b) = b for the unified g; (d) a ternary term
-    g' with g'(a,b,b) = g'(b,a,b) = g'(b,b,a) = b, found by membership.
+    b in Sg{a, c}; (c) the unified operation maps the first row to b;
+    (d) a ternary term g' or h' maps every row to b, found as membership of
+    (b, ..., b) in the subpower generated by the columns of the rows.
     """
-    if MAJORITY not in e.types:
-        return UNKNOWN if MAJORITY in e.unknown_types else None
-    if ops.g(a, b, b) != b:
+    if kind == MAJORITY:
+        op, rows = "g", ((a, b, b), (b, a, b), (b, b, a))
+    else:
+        op, rows = "h", ((b, a, a), (a, a, b))
+    if kind not in e.types:
+        return UNKNOWN if kind in e.unknown_types else None
+    if getattr(ops, op)(*rows[0]) != b:
         return None
-    theta_b = set(e.block_of(MAJORITY, b))
-    for c in sorted(theta_b):
+    for c in sorted(set(e.block_of(kind, b))):
         su = generate_subuniverse(alg, 1, [(a,), (c,)], budget=budget, derivations=False, target=(b,))
         found, _ = member_with_witness(su, (b,))
         if found is UNKNOWN:
             return UNKNOWN
         if found is False:
             return None
-    target = (b, b, b)
-    su = generate_subuniverse(
-        alg, 3, [(a, b, b), (b, a, b), (b, b, a)], budget=budget, target=target
-    )
-    found, idx = member_with_witness(su, target)
-    if found is UNKNOWN:
-        return UNKNOWN
-    if found is False:
-        return None
-    term = extract_term(su, idx)
-    table = term_table(alg, term, 3, name="g'")
-    if not (table(a, b, b) == b and table(b, a, b) == b and table(b, b, a) == b):
-        raise VerificationError("majority thin-edge witness fails its defining equalities")
-    return ThinEdge(alg, MAJORITY, a, b, table, term, _theta_blocks_tuple(e, MAJORITY))
-
-
-def is_thin_affine(
-    alg: Algebra,
-    a: int,
-    b: int,
-    e: EdgeInfo,
-    ops: UnifiedOps,
-    budget: ClosureBudget = DEFAULT_BUDGET,
-):
-    """ThinEdge if (a, b) is a thin affine edge, None/UNKNOWN otherwise.
-
-    ``e`` is the classification of the pair in either orientation.
-    Conditions mirror the majority case with h: (c) h(b,a,a) = b and
-    (d) a ternary h' with h'(b,a,a) = h'(a,a,b) = b, found as membership of
-    (b,b) in the subpower generated by (b,a), (a,a), (a,b).
-    """
-    if AFFINE not in e.types:
-        return UNKNOWN if AFFINE in e.unknown_types else None
-    if ops.h(b, a, a) != b:
-        return None
-    theta_b = set(e.block_of(AFFINE, b))
-    for c in sorted(theta_b):
-        su = generate_subuniverse(alg, 1, [(a,), (c,)], budget=budget, derivations=False, target=(b,))
-        found, _ = member_with_witness(su, (b,))
-        if found is UNKNOWN:
-            return UNKNOWN
-        if found is False:
-            return None
-    target = (b, b)
-    su = generate_subuniverse(
-        alg, 2, [(b, a), (a, a), (a, b)], budget=budget, target=target
-    )
-    found, idx = member_with_witness(su, target)
-    if found is UNKNOWN:
-        return UNKNOWN
-    if found is False:
-        return None
-    term = extract_term(su, idx)
-    table = term_table(alg, term, 3, name="h'")
-    if not (table(b, a, a) == b and table(a, a, b) == b):
-        raise VerificationError("affine thin-edge witness fails its defining equalities")
-    return ThinEdge(alg, AFFINE, a, b, table, term, _theta_blocks_tuple(e, AFFINE))
-
-
-_THIN_TESTS = {
-    MAJORITY: (STRICT_MAJORITY, is_thin_majority),
-    AFFINE: (STRICT_AFFINE, is_thin_affine),
-}
+    term = find_term(alg, len(rows), list(zip(*rows)), (b,) * len(rows), budget)
+    if term is None or term is UNKNOWN:
+        return term
+    table = term_table(alg, term, 3, name=f"{op}'")
+    if any(table(*row) != b for row in rows):
+        raise VerificationError(f"{kind} thin-edge witness fails its defining equalities")
+    return ThinEdge(alg, kind, a, b, table, term, _theta_blocks_tuple(e, kind))
 
 
 def _find_thin(graph: EdgeGraph, src: int, dst: int, ops: UnifiedOps, budget, kind: str):
     """First b' in dst's theta-block, in increasing order, with (src, b') thin."""
-    strict, is_thin = _THIN_TESTS[kind]
     edge = graph.edge(src, dst)
     if kind not in edge.types:
         return None
     for bprime in sorted(edge.block_of(kind, dst)):
         if bprime == src:
             continue
-        res = is_thin(graph.alg, src, bprime, graph.edge(src, bprime), ops, budget)
+        res = is_thin(kind, graph.alg, src, bprime, graph.edge(src, bprime), ops, budget)
         if isinstance(res, ThinEdge):
             return res
         if res is UNKNOWN:
             return UNKNOWN
-    if edge.strict == strict:
+    if edge.strict == {MAJORITY: STRICT_MAJORITY, AFFINE: STRICT_AFFINE}[kind]:
         raise VerificationError(f"strict {kind} edge ({src},{dst}) has no thin counterpart")
     return None
 
@@ -749,8 +709,8 @@ def all_thin_edges(
             if a == b:
                 continue
             info = graph.edge(a, b)
-            for is_thin in (is_thin_majority, is_thin_affine):
-                res = is_thin(alg, a, b, info, ops, budget)
+            for kind in (MAJORITY, AFFINE):
+                res = is_thin(kind, alg, a, b, info, ops, budget)
                 if isinstance(res, ThinEdge):
                     out.append(res)
     return out
@@ -760,26 +720,32 @@ def all_thin_edges(
 # Cross-algebra witnesses
 
 
-def _product_membership_term(
-    algs: list[Algebra], gens: list[tuple[int, ...]], target: tuple[int, ...], budget: ClosureBudget
+def _product_witness(
+    claim: str,
+    algs: list[Algebra],
+    rows: list[tuple[int, ...]],
+    target: tuple[int, ...],
+    budget: ClosureBudget,
 ):
-    """Membership of a target tuple in the product subalgebra generated by
-    the given tuples; returns the witness term or raises."""
+    """Term t with t(rows[i]) = target[i] in algs[i] for every i, found by
+    membership in the product subalgebra generated by the columns of the
+    rows; UNKNOWN if capped, and raises when the complete search finds none."""
     sig = algs[0].signature()
     for a in algs[1:]:
         if a.signature() != sig:
             raise AlgebraError("cross-algebra witnesses need identical signatures")
-    prod = product_algebra(algs)
     sizes = [a.size for a in algs]
-    enc_gens = [(product_encode(sizes, g),) for g in gens]
+    enc_gens = [(product_encode(sizes, g),) for g in zip(*rows)]
     enc_target = (product_encode(sizes, target),)
-    su = generate_subuniverse(prod, 1, enc_gens, budget=budget, target=enc_target)
-    found, idx = member_with_witness(su, enc_target)
-    if found is UNKNOWN:
+    term = find_term(product_algebra(algs), 1, enc_gens, enc_target, budget)
+    if term is UNKNOWN:
         return UNKNOWN
-    if found is False:
-        return None
-    return extract_term(su, idx)
+    if term is None:
+        raise VerificationError(f"{claim} witness does not exist; claim violated")
+    for alg, args, want in zip(algs, rows, target):
+        if term_table(alg, term, len(args))(*args) != want:
+            raise VerificationError(f"{claim} witness fails t{args} = {want}")
+    return term
 
 
 def witness_majority_triple(
@@ -790,33 +756,18 @@ def witness_majority_triple(
     for e in (e1, e2, e3):
         if e.kind != MAJORITY:
             raise AlgebraError("witness_majority_triple needs thin majority edges")
-    algs = [e1.alg, e2.alg, e3.alg]
-    a1, b1 = e1.src, e1.dst
-    a2, b2 = e2.src, e2.dst
-    a3, b3 = e3.src, e3.dst
-    term = _product_membership_term(
-        algs,
-        [(a1, b2, b3), (b1, a2, b3), (b1, b2, a3)],
-        (b1, b2, b3),
-        budget,
-    )
-    if term is UNKNOWN:
-        return UNKNOWN
-    if term is None:
-        raise VerificationError("majority triple witness does not exist; claim violated")
-    t1 = term_table(algs[0], term, 3)
-    t2 = term_table(algs[1], term, 3)
-    t3 = term_table(algs[2], term, 3)
-    if not (t1(a1, b1, b1) == b1 and t2(b2, a2, b2) == b2 and t3(b3, b3, a3) == b3):
-        raise VerificationError("majority triple witness fails its equalities")
-    return term
+    (a1, b1), (a2, b2), (a3, b3) = ((e.src, e.dst) for e in (e1, e2, e3))
+    rows = [(a1, b1, b1), (b2, a2, b2), (b3, b3, a3)]
+    return _product_witness("majority triple", [e1.alg, e2.alg, e3.alg], rows, (b1, b2, b3), budget)
 
 
+# kind -> (edge kinds, the witness's argument rows in the two algebras as a
+# function of the edges a -> b and c -> d); the witness maps them to (b, d)
 MIXED_KINDS = {
-    "majority-semilattice": (MAJORITY, SEMILATTICE),
-    "affine-affine": (AFFINE, AFFINE),
-    "affine-semilattice": (AFFINE, SEMILATTICE),
-    "affine-majority": (AFFINE, MAJORITY),
+    "majority-semilattice": ((MAJORITY, SEMILATTICE), lambda a, b, c, d: [(a, b), (d, c)]),
+    "affine-affine": ((AFFINE, AFFINE), lambda a, b, c, d: [(b, a, a), (c, c, d)]),
+    "affine-semilattice": ((AFFINE, SEMILATTICE), lambda a, b, c, d: [(b, a), (c, d)]),
+    "affine-majority": ((AFFINE, MAJORITY), lambda a, b, c, d: [(b, a), (c, d)]),
 }
 
 
@@ -830,44 +781,14 @@ def witness_mixed(kind: str, e1: ThinEdge, e2: ThinEdge, budget: ClosureBudget =
     """
     if kind not in MIXED_KINDS:
         raise AlgebraError(f"unknown mixed witness kind {kind!r}")
-    want1, want2 = MIXED_KINDS[kind]
+    (want1, want2), rows = MIXED_KINDS[kind]
     if e1.kind != want1 or e2.kind != want2:
         raise AlgebraError(
             f"{kind} needs edges of kinds ({want1}, {want2}), got ({e1.kind}, {e2.kind})"
         )
-    a, b = e1.src, e1.dst
-    c, d = e2.src, e2.dst
-    algs = [e1.alg, e2.alg]
-    if kind == "majority-semilattice":
-        gens = [(a, d), (b, c)]
-        target = (b, d)
-        arity = 2
-        checks = [(0, (a, b), b), (1, (d, c), d)]
-    elif kind == "affine-affine":
-        gens = [(b, c), (a, c), (a, d)]
-        target = (b, d)
-        arity = 3
-        checks = [(0, (b, a, a), b), (1, (c, c, d), d)]
-    elif kind == "affine-semilattice":
-        gens = [(b, c), (a, d)]
-        target = (b, d)
-        arity = 2
-        checks = [(0, (b, a), b), (1, (c, d), d)]
-    else:  # affine-majority
-        gens = [(b, c), (a, d)]
-        target = (b, d)
-        arity = 2
-        checks = [(0, (b, a), b), (1, (c, d), d)]
-    term = _product_membership_term(algs, gens, target, budget)
-    if term is UNKNOWN:
-        return UNKNOWN
-    if term is None:
-        raise VerificationError(f"{kind} witness does not exist; claim violated")
-    for alg_i, args, want in checks:
-        t = term_table(algs[alg_i], term, arity)
-        if t(*args) != want:
-            raise VerificationError(f"{kind} witness fails t{args} = {want}")
-    return term
+    return _product_witness(
+        kind, [e1.alg, e2.alg], rows(e1.src, e1.dst, e2.src, e2.dst), (e1.dst, e2.dst), budget
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -2,20 +2,25 @@
 harness over all small idempotent algebras of a fixed signature.
 
 Each suite checks one structural claim on one algebra and returns a
-VerificationReport; a failing report always carries a replayable
-counterexample (the serialized algebra plus the offending pair or edge).
+VerificationReport.  The checks return ``(status, detail)``; one frame
+(``_suite``) turns that into the report.  It skips algebras that admit
+type 1, reports a SynthesisError as ``unknown`` when a capped term slice
+left it undecided and as ``fail`` otherwise, appends the serialized algebra
+to every failing detail, so a failure is a replayable counterexample, and
+times the run.
 
-The gate for "no degenerate divisor" used by every suite is the exact
-divisor test (omits_type1); the direct 4-ary term search is cross-checked
-against it separately because its closure may exceed any practical budget
-on algebras that admit type 1.
+The gate for "no degenerate divisor" used by every suite but
+``tolerance-classes`` is the exact divisor test (omits_type1); the direct
+4-ary term search is cross-checked against it separately because its
+closure may exceed any practical budget on algebras that admit type 1.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .congruence import all_tolerances, is_class_subuniverse, tolerance_classes
 from .core import Algebra, AlgebraError, OpTable, UNKNOWN, VerificationError, serialize_algebra
@@ -38,12 +43,10 @@ from .thin import (
     UnifiedOps,
     all_thin_edges,
     check_identities,
-    enforce_identities,
     find_thin_affine,
     find_thin_majority,
     good_f,
     synth_unified,
-    unified_conditions,
     verify_thick_thin,
 )
 
@@ -104,8 +107,7 @@ class Analysis:
 
     def unified(self) -> UnifiedOps:
         if self._unified is None:
-            ops = synth_unified(self.alg, self.graph().edge_list(), self.budget)
-            self._unified = enforce_identities(ops, self.alg)
+            self._unified = synth_unified(self.alg, self.graph().edge_list(), self.budget)
         return self._unified
 
     def fprime(self) -> OpTable:
@@ -119,113 +121,84 @@ class Analysis:
         return self._thin
 
 
-def _skip_if_type1(ana: Analysis, theorem: str) -> VerificationReport | None:
-    if not ana.taylor():
-        return VerificationReport(theorem, "skipped", {"reason": "algebra admits type 1"})
-    return None
+def _suite(theorem: str, gated: bool):
+    """The frame of every suite around ``check(ana, ...) -> (status, detail)``.
+
+    With ``gated``, an algebra admitting type 1 is skipped.  A SynthesisError
+    is ``unknown`` when a capped term slice left the synthesis undecided,
+    else ``fail``.  A failing detail gets the replayable algebra as its last
+    key, and the report the wall time of the whole run.
+    """
+
+    def frame(check):
+        @functools.wraps(check)
+        def run(ana: Analysis, *args) -> VerificationReport:
+            t0 = time.time()
+            if gated and not ana.taylor():
+                status, detail = "skipped", {"reason": "algebra admits type 1"}
+            else:
+                try:
+                    status, detail = check(ana, *args)
+                except SynthesisError as ex:
+                    status, detail = ("unknown" if ex.capped else "fail"), {"error": str(ex)}
+            if status == "fail":
+                detail["algebra"] = serialize_algebra(ana.alg)
+            return VerificationReport(theorem, status, detail, time.time() - t0)
+
+        return run
+
+    return frame
 
 
-def _synthesis_failed(
-    ana: Analysis, theorem: str, ex: SynthesisError, t0: float
-) -> VerificationReport:
-    """``unknown`` when a capped term slice left the synthesis undecided,
-    else ``fail`` with the replayable algebra."""
-    if ex.capped:
-        return VerificationReport(theorem, "unknown", {"error": str(ex)}, time.time() - t0)
-    detail = {"error": str(ex), "algebra": serialize_algebra(ana.alg)}
-    return VerificationReport(theorem, "fail", detail, time.time() - t0)
-
-
-def check_connectedness(ana: Analysis) -> VerificationReport:
+@_suite("connectedness", gated=True)
+def check_connectedness(ana: Analysis):
     """Edge-graph connectivity for the algebra and every induced subalgebra.
 
     The graph is built once; each subalgebra's graph is its restriction.
     """
-    t0 = time.time()
-    skip = _skip_if_type1(ana, "connectedness")
-    if skip:
-        return skip
     status, carrier = graph_connected_hereditary(ana.graph())
-    detail = {} if carrier is None else {"carrier": list(carrier)}
-    if status == "fail":
-        detail["algebra"] = serialize_algebra(ana.alg)
-    return VerificationReport("connectedness", status, detail, time.time() - t0)
+    return status, ({} if carrier is None else {"carrier": list(carrier)})
 
 
-def check_uniform(ana: Analysis) -> VerificationReport:
-    """Unified f, g, h meeting the whole per-edge condition matrix."""
-    t0 = time.time()
-    skip = _skip_if_type1(ana, "uniform")
-    if skip:
-        return skip
-    try:
-        ops = ana.unified()
-    except SynthesisError as ex:
-        return _synthesis_failed(ana, "uniform", ex, t0)
-    ok, matrix, first_fail = unified_conditions(ana.alg, ops.edges, ops.f, ops.g, ops.h)
+@_suite("uniform", gated=True)
+def check_uniform(ana: Analysis):
+    """Unified f, g, h meeting the whole per-edge condition matrix, as
+    recorded in ``UnifiedOps.provenance`` when the matrix was evaluated."""
+    matrix = ana.unified().provenance
     detail = {"conditions": {f"{k[0]}:{k[1]}": v for k, v in sorted(matrix.items())}}
-    if not ok:
-        detail["first_failure"] = list(first_fail[0]) + [first_fail[1]]
-        detail["algebra"] = serialize_algebra(ana.alg)
-        return VerificationReport("uniform", "fail", detail, time.time() - t0)
-    return VerificationReport("uniform", "pass", detail, time.time() - t0)
+    first_fail = next((k for k, ok in matrix.items() if not ok), None)
+    if first_fail is None:
+        return "pass", detail
+    detail["first_failure"] = list(first_fail[0]) + [first_fail[1]]
+    return "fail", detail
 
 
-def check_identities_suite(ana: Analysis) -> VerificationReport:
+@_suite("identities", gated=True)
+def check_identities_suite(ana: Analysis):
     """Absorption identities of f, g, h hold for all arguments."""
-    t0 = time.time()
-    skip = _skip_if_type1(ana, "identities")
-    if skip:
-        return skip
-    try:
-        ops = ana.unified()
-    except SynthesisError as ex:
-        return _synthesis_failed(ana, "identities", ex, t0)
-    if check_identities(ops):
-        return VerificationReport("identities", "pass", {}, time.time() - t0)
-    return VerificationReport(
-        "identities", "fail", {"algebra": serialize_algebra(ana.alg)}, time.time() - t0
-    )
+    return ("pass" if check_identities(ana.unified()) else "fail"), {}
 
 
-def check_good_op(ana: Analysis) -> VerificationReport:
+@_suite("good-op", gated=True)
+def check_good_op(ana: Analysis):
     """f(a,b) = a or (a, f(a,b)) is a thin semilattice edge, for all a,b."""
-    t0 = time.time()
-    skip = _skip_if_type1(ana, "good-op")
-    if skip:
-        return skip
-    try:
-        fp = ana.fprime()
-    except SynthesisError as ex:
-        return _synthesis_failed(ana, "good-op", ex, t0)
-    t = fp.table()
+    t = ana.fprime().table()
     for a in range(ana.alg.size):
         for b in range(ana.alg.size):
             c = int(t[a, b])
             if c != a and not (t[a, c] == c and t[c, a] == c):
-                return VerificationReport(
-                    "good-op",
-                    "fail",
-                    {"pair": [a, b], "algebra": serialize_algebra(ana.alg)},
-                    time.time() - t0,
-                )
-    return VerificationReport("good-op", "pass", {}, time.time() - t0)
+                return "fail", {"pair": [a, b]}
+    return "pass", {}
 
 
-def check_thin(ana: Analysis) -> VerificationReport:
+@_suite("thin", gated=True)
+def check_thin(ana: Analysis):
     """Thin counterparts for strict majority and affine edges, the
     thick-to-thin property for semilattice edges, and connectivity of the
     graph without non-trivially witnessed semilattice edges."""
-    t0 = time.time()
-    skip = _skip_if_type1(ana, "thin")
-    if skip:
-        return skip
     alg = ana.alg
-    try:
-        ops = ana.unified()
-        fp = ana.fprime()
-    except SynthesisError as ex:
-        return _synthesis_failed(ana, "thin", ex, t0)
+    ops = ana.unified()
+    fp = ana.fprime()
     graph = ana.graph()
     finders = {
         STRICT_MAJORITY: ("thin-majority", find_thin_majority),
@@ -257,44 +230,20 @@ def check_thin(ana: Analysis) -> VerificationReport:
     if not edges_connect(range(alg.size), kept):
         failures.append({"claim": "trimmed-graph-connectivity", "error": "disconnected"})
     if failures:
-        return VerificationReport(
-            "thin",
-            "fail",
-            {"failures": failures, "algebra": serialize_algebra(alg)},
-            time.time() - t0,
-        )
-    if unknown:
-        return VerificationReport("thin", "unknown", {}, time.time() - t0)
-    return VerificationReport("thin", "pass", {}, time.time() - t0)
+        return "fail", {"failures": failures}
+    return ("unknown" if unknown else "pass"), {}
 
 
-def check_as_connectivity(ana: Analysis) -> VerificationReport:
+@_suite("as-connectivity", gated=True)
+def check_as_connectivity(ana: Analysis):
     """All ordered pairs of maximal elements joined by thin-edge paths."""
-    t0 = time.time()
-    skip = _skip_if_type1(ana, "as-connectivity")
-    if skip:
-        return skip
-    try:
-        rep = verify_as_connectivity(ana.alg, ana.thin())
-    except SynthesisError as ex:
-        return _synthesis_failed(ana, "as-connectivity", ex, t0)
-    detail = {"maximal": rep["maximal"], "failures": rep["failures"]}
-    if rep["failures"]:
-        detail["algebra"] = serialize_algebra(ana.alg)
-    return VerificationReport(
-        "as-connectivity",
-        "pass" if rep["status"] == "pass" else "fail",
-        detail,
-        time.time() - t0,
-    )
+    rep = verify_as_connectivity(ana.alg, ana.thin())
+    return rep["status"], {"maximal": rep["maximal"], "failures": rep["failures"]}
 
 
-def check_reduct(ana: Analysis, edge_pair=None) -> VerificationReport:
+@_suite("reduct", gated=True)
+def check_reduct(ana: Analysis, edge_pair=None):
     """Reduct claims for qualifying edges (or one chosen pair)."""
-    t0 = time.time()
-    skip = _skip_if_type1(ana, "reduct")
-    if skip:
-        return skip
     alg = ana.alg
     graph = ana.graph()
     edges = []
@@ -303,9 +252,7 @@ def check_reduct(ana: Analysis, edge_pair=None) -> VerificationReport:
             if edge_pair is None or (e.a, e.b) == tuple(sorted(edge_pair)):
                 edges.append(e)
     if not edges:
-        return VerificationReport(
-            "reduct", "skipped", {"reason": "no qualifying edge"}, time.time() - t0
-        )
+        return "skipped", {"reason": "no qualifying edge"}
     slices = (term_slice(alg, 2, ana.budget), term_slice(alg, 3, ana.budget))
     results = []
     worst = "pass"
@@ -321,16 +268,13 @@ def check_reduct(ana: Analysis, edge_pair=None) -> VerificationReport:
             worst = "fail"
         elif "unknown" in statuses and worst != "fail":
             worst = "unknown"
-    detail = {"edges": results}
-    if worst == "fail":
-        detail["algebra"] = serialize_algebra(alg)
-    return VerificationReport("reduct", worst, detail, time.time() - t0)
+    return worst, {"edges": results}
 
 
-def check_tolerance_classes(ana: Analysis) -> VerificationReport:
+@_suite("tolerance-classes", gated=False)
+def check_tolerance_classes(ana: Analysis):
     """Classes of every tolerance are subuniverses; link tolerances of
     pair-generated subdirect binary relations are compatible."""
-    t0 = time.time()
     alg = ana.alg
     failures = []
     for t in all_tolerances(alg):
@@ -355,13 +299,8 @@ def check_tolerance_classes(ana: Analysis) -> VerificationReport:
                         {"claim": "link-tolerance", "pair": [a, b], "coord": i, "error": str(ex)}
                     )
     if failures:
-        return VerificationReport(
-            "tolerance-classes",
-            "fail",
-            {"failures": failures, "algebra": serialize_algebra(alg)},
-            time.time() - t0,
-        )
-    return VerificationReport("tolerance-classes", "pass", {}, time.time() - t0)
+        return "fail", {"failures": failures}
+    return "pass", {}
 
 
 _SUITES = {
@@ -509,7 +448,7 @@ def enumerate_and_verify(
             elif rep["status"] == "unknown" and worst != "fail":
                 worst = "unknown"
             elif rep["status"] == "skipped" and worst == "pass":
-                worst = "skipped" if worst == "pass" else worst
+                worst = "skipped"
         counts[worst] += 1
         if worst == "fail":
             failures.append({"index": index, "reports": reports})

@@ -14,7 +14,6 @@ from algraph.edges import (
     MAJORITY,
     SEMILATTICE,
     affine_certificates,
-    affine_quotient_certificate,
     all_subuniverses,
     classify_pair,
     edge_graph,
@@ -53,17 +52,18 @@ def test_majority_witness(algs):
 
 
 def test_affine_certificates(algs):
-    cert = affine_quotient_certificate(algs["Z3A"])
-    assert cert is not None
+    certs, capped = affine_certificates(algs["Z3A"])
+    assert certs and not capped
+    cert = certs[0]
     assert list(cert.maltsev.values) == list(algs["Z3A"].ops[0].values)
     mal = term_table(algs["Z3A"], cert.term, 3)
     assert list(mal.values) == list(cert.maltsev.values)
 
-    cert2 = affine_quotient_certificate(algs["A2"])
-    assert cert2 is not None and cert2.maltsev(1, 0, 0) == 1
+    certs2, _ = affine_certificates(algs["A2"])
+    assert certs2 and certs2[0].maltsev(1, 0, 0) == 1
 
-    assert affine_quotient_certificate(algs["S2"]) is None
-    assert affine_quotient_certificate(algs["M2"]) is None
+    assert affine_certificates(algs["S2"]) == ([], False)
+    assert affine_certificates(algs["M2"]) == ([], False)
 
 
 def test_maltsev_tables_counts():

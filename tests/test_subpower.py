@@ -3,10 +3,12 @@ import random
 import numpy as np
 import pytest
 
-from algraph.core import UNKNOWN, Algebra, AlgebraError, OpTable, Var, evaluate_term_columns
+from algraph.core import UNKNOWN, Algebra, AlgebraError, OpTable, Var, evaluate_term, evaluate_term_columns
 from algraph.subpower import (
+    DEFAULT_BUDGET,
     ClosureBudget,
     extract_term,
+    find_term,
     generate_subuniverse,
     member_with_witness,
     term_slice,
@@ -45,6 +47,15 @@ def test_membership_three_valued(algs):
     assert found is UNKNOWN
     with pytest.raises(AlgebraError, match="length"):
         member_with_witness(su, (1, 1, 1))
+
+
+def test_find_term_three_valued(algs):
+    s2 = algs["S2"]
+    term = find_term(s2, 2, [(0, 1), (1, 0)], (1, 1), DEFAULT_BUDGET)
+    assert evaluate_term(s2, term, (0, 1)) == 1 and evaluate_term(s2, term, (1, 0)) == 1
+    assert find_term(s2, 2, [(0, 1), (1, 0)], (0, 0), DEFAULT_BUDGET) is None
+    capped = find_term(algs["Z3A"], 1, [(0,), (1,)], (2,), ClosureBudget(max_elements=2))
+    assert capped is UNKNOWN
 
 
 def test_extract_term_generator_is_variable(algs):

@@ -17,8 +17,7 @@ from algraph.thin import (
     find_thin_affine,
     find_thin_majority,
     good_f,
-    is_thin_affine,
-    is_thin_majority,
+    is_thin,
     synth_unified,
     thin_semilattice_edges,
     unified_conditions,
@@ -170,7 +169,7 @@ def test_find_thin_majority(pipelines):
     assert (thin.src, thin.dst) == (0, 1)
     assert thin.witness(0, 1, 1) == 1 and thin.witness(1, 0, 1) == 1 and thin.witness(1, 1, 0) == 1
     # symmetric orientation
-    rev = is_thin_majority(p.alg, 1, 0, p.graph.edge(0, 1), p.ops)
+    rev = is_thin(MAJORITY, p.alg, 1, 0, p.graph.edge(0, 1), p.ops)
     assert isinstance(rev, ThinEdge)
     # the reversed orientation is read from the stored pair (0, 1)
     back = find_thin_majority(p.graph, 1, 0, p.ops)

@@ -5,15 +5,50 @@ import algraph.thin
 import algraph.verify
 from algraph.subpower import term_slice
 from algraph.verify import (
+    THEOREMS,
     Analysis,
     check_as_connectivity,
+    check_connectedness,
     check_good_op,
     check_identities_suite,
     check_reduct,
     check_thin,
     check_uniform,
     idempotent_algebra,
+    run_suite,
 )
+
+
+def test_suite_frame_skips_type1_except_tolerance_classes(algs):
+    reports = {r.theorem: r for r in run_suite(algs["P2"], "all")}
+    assert list(reports) == list(THEOREMS)
+    tolerance = reports.pop("tolerance-classes")
+    assert tolerance.status == "pass"
+    for rep in reports.values():
+        assert (rep.status, rep.detail) == ("skipped", {"reason": "algebra admits type 1"})
+
+
+def test_suite_frame_appends_algebra_to_failures(algs, monkeypatch):
+    monkeypatch.setattr(algraph.verify, "graph_connected_hereditary", lambda graph: ("fail", (0, 1)))
+    rep = check_connectedness(Analysis(algs["S2"]))
+    assert rep.status == "fail"
+    assert list(rep.detail) == ["carrier", "algebra"]
+    assert rep.detail["carrier"] == [0, 1]
+
+
+def test_condition_matrix_evaluated_once(algs, monkeypatch):
+    """uniform, identities and thin share the matrix recorded at synthesis."""
+    calls = []
+    real = algraph.thin.unified_conditions
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(algraph.thin, "unified_conditions", counting)
+    reports = run_suite(algs["RPS"], ("uniform", "identities", "thin"))
+    assert [r.status for r in reports] == ["pass"] * 3
+    assert len(calls) == 1
 
 
 def test_check_thin_raises_programming_errors(algs, monkeypatch):
