@@ -4,7 +4,8 @@ Subcommands: check, edges, graph, thin, synth, reduct, verify, enumerate.
 Reports go to stdout or --json PATH with a stable field order, DOT files
 via --dot.  Exit codes: 0 all pass, 1 failure, 2 usage/parse error,
 3 unknown results present.  The closure cap can be set with --cap or the
-ALG_CAP environment variable.
+ALG_CAP environment variable, and the cap on argument tuples evaluated per
+closure with --max-work.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ def _budget(args) -> ClosureBudget:
             cap = int(env) if env else DEFAULT_MAX_ELEMENTS
         except ValueError:
             raise AlgebraError(f"ALG_CAP must be an integer, got {env!r}") from None
-    return ClosureBudget(max_elements=cap)
+    return ClosureBudget(max_elements=cap, max_work=getattr(args, "max_work", None))
 
 
 def _load(path: str) -> Algebra:
@@ -283,6 +284,11 @@ def build_parser() -> argparse.ArgumentParser:
             "--cap",
             type=int,
             help=f"closure element cap (default: ALG_CAP, else {DEFAULT_MAX_ELEMENTS})",
+        )
+        sp.add_argument(
+            "--max-work",
+            type=int,
+            help="cap on argument tuples evaluated per closure (default: no limit)",
         )
 
     sp = sub.add_parser("check", help="idempotency and type-omission status")

@@ -132,13 +132,24 @@ def majority_witness(Q: Algebra, abar: int, bbar: int, budget: ClosureBudget = D
     """Ternary term g that is a majority operation on {abar, bbar}, or None/UNKNOWN.
 
     The six non-diagonal argument patterns over the pair are stacked into a
-    single 6-coordinate membership target.
+    single 6-coordinate membership target.  The two 3-coordinate halves are
+    closed first: projecting a member of a subpower onto some coordinates
+    gives a member of the projected subpower, so when a complete half lacks
+    its target, (b,b,b) or (a,a,a), no majority term exists and the answer
+    None is exact.  A capped half decides nothing; the full search runs.
     """
     if abar == bbar:
         raise AlgebraError("witness search requires distinct elements")
     a, b = abar, bbar
     gens = [(a, b, b, b, a, a), (b, a, b, a, b, a), (b, b, a, a, a, b)]
-    return find_term(Q, 6, gens, (b, b, b, a, a, a), budget)
+    target = (b, b, b, a, a, a)
+    for half in (slice(0, 3), slice(3, 6)):
+        proj = generate_subuniverse(
+            Q, 3, [g[half] for g in gens], budget=budget, derivations=False, target=target[half]
+        )
+        if proj.is_complete() and proj.find(target[half]) is None:
+            return None
+    return find_term(Q, 6, gens, target, budget)
 
 
 def _abelian_structures(q: int) -> list[tuple[int, ...]]:

@@ -6,6 +6,16 @@ operation coordinatewise to all argument tuples that touch the frontier
 sorts the genuinely new elements lexicographically and appends them.
 This makes element order, derivations and extracted terms reproducible.
 
+A search for a target tuple looks for the target among a round's products
+before it streams the round, and stops at the round that produces it: the
+target is appended alone, with the derivation of its first occurrence in
+streaming order.  Extracted terms are the same as from the finished
+closure: the derivation kept for a new element is always its first
+occurrence in the round, and its parents lie in earlier rounds, whose row
+indices do not depend on the current one.  The look-up costs a small part
+of a round, so a search's cost does not depend on where in the round's
+order, which follows the labelling of the algebra, the target lies.
+
 Tuples are stored as rows of a uint8 matrix; argument combinations are
 streamed in fixed-size chunks so memory stays bounded by the chunk size
 plus the element store.
@@ -48,7 +58,9 @@ class ClosureBudget:
 
     ``max_work`` bounds the total number of argument tuples evaluated, which
     caps runs whose element count stays modest but whose quadratic pair work
-    does not.  All three caps are deterministic.
+    does not.  A target search's look-up of the target in a round evaluates
+    prefixes, not argument tuples, and is not counted.  All three caps are
+    deterministic.
     """
 
     max_elements: int = DEFAULT_MAX_ELEMENTS
@@ -128,15 +140,57 @@ def _stream_blocks(ranges: list[tuple[int, int]], chunk: int) -> Iterator[tuple[
         )
 
 
-class _ClosureResult:
-    __slots__ = ("rows", "index", "derivations", "status", "hit_index", "hit_row")
+def _first_product(
+    alg: Algebra, rows: np.ndarray, frontier_lo: int, target: np.ndarray
+) -> tuple[int, tuple[int, ...]] | None:
+    """``(op index, argument indices)`` of the target's first occurrence in
+    the streaming order of the round whose frontier starts at
+    ``frontier_lo``, or None when the round does not produce the target.
 
-    def __init__(self, rows, index, derivations, status, hit_index, hit_row):
+    For each coordinate c and each value tuple p of all arguments but the
+    last, one bit per candidate last argument says whether op(p, row[c])
+    equals target[c].  An argument prefix hits where the AND over c of its
+    bit rows is not zero, so the round is searched prefix by prefix, not
+    tuple by tuple, and nothing is deduplicated.
+    """
+    count, k = rows.shape
+    n = alg.size
+    coords = np.arange(k)
+    for op_i, op in enumerate(alg.ops):
+        r = op.arity
+        # ok[p, c, i]: op(p, rows[i, c]) == target[c]
+        ok = op.values.reshape(-1, n)[:, rows.T] == target[:, None]
+        for first_new in range(r):
+            ranges = (
+                [(0, frontier_lo)] * first_new
+                + [(frontier_lo, count)]
+                + [(0, count)] * (r - first_new - 1)
+            )
+            last_lo = ranges[-1][0]
+            bits = np.packbits(ok[:, :, last_lo:], axis=2, bitorder="little")
+            # at most _CHUNK bytes of bits per coordinate at a time
+            for arg_idx in _stream_blocks(ranges[:-1], max(1, _CHUNK // bits.shape[2])):
+                if arg_idx:
+                    prefix = flat_index((rows[idx] for idx in arg_idx), n)
+                else:  # unary operation: the empty prefix
+                    prefix = np.zeros((1, k), dtype=np.int64)
+                hits = np.bitwise_and.reduce(bits[prefix, coords], axis=1)
+                row = hits.any(axis=1)
+                if row.any():
+                    q = int(np.argmax(row))
+                    last = last_lo + int(np.argmax(np.unpackbits(hits[q], bitorder="little")))
+                    return op_i, tuple(int(idx[q]) for idx in arg_idx) + (last,)
+    return None
+
+
+class _ClosureResult:
+    __slots__ = ("rows", "index", "derivations", "status", "hit_row")
+
+    def __init__(self, rows, index, derivations, status, hit_row):
         self.rows = rows
         self.index = index
         self.derivations = derivations
         self.status = status
-        self.hit_index = hit_index
         self.hit_row = hit_row
 
 
@@ -146,17 +200,21 @@ def _closure(
     gen_rows: np.ndarray,
     budget: ClosureBudget,
     want_derivations: bool,
-    target_key: bytes | None = None,
+    target: np.ndarray | None = None,
     row_predicate: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> _ClosureResult:
     """Shared closure loop.
 
     Stops when the closure is complete, the budget is exhausted (CAPPED),
-    the target element appears (the current round is finished first, so the
-    stored prefix stays canonical), or, with ``row_predicate``, as soon as
-    any produced row satisfies the predicate (that row is returned without
+    at the round that produces the target element (found by
+    ``_first_product`` before the round is streamed, and appended alone,
+    with its derivation, as the last row, if the element cap leaves room
+    for it), or, with ``row_predicate``, as soon as any produced row
+    satisfies the predicate (that row is returned as ``hit_row`` without
     being appended).  Early stops report CAPPED: only a naturally finished
-    run may claim the set is closed.
+    run may claim the set is closed.  The target's derivation and parents
+    are those the finished round would have kept, so a term extracted for
+    it does not depend on where the run stopped.
     """
     n = alg.size
     cap = budget.max_elements
@@ -169,6 +227,7 @@ def _closure(
     derivs: list | None = [] if want_derivations else None
     count = 0
     void_dt = np.dtype((np.void, k))
+    known_add = known.add
 
     def grow(need: int):
         nonlocal rows, capacity
@@ -190,15 +249,15 @@ def _closure(
             derivs.extend(batch_derivs)
         count += len(batch)
 
-    def finish(status, hit_index=None, hit_row=None):
-        return _ClosureResult(rows[:count], index, derivs, status, hit_index, hit_row)
+    def finish(status, hit_row=None):
+        return _ClosureResult(rows[:count], index, derivs, status, hit_row)
 
     # seed with generators, first occurrence wins, given order kept
     uniq: list[np.ndarray] = []
     for g in gen_rows:
         key = g.tobytes()
         if key not in known:
-            known.add(key)
+            known_add(key)
             uniq.append(g)
     append(np.asarray(uniq, dtype=np.uint8).reshape(len(uniq), k), [None] * len(uniq))
 
@@ -206,9 +265,9 @@ def _closure(
         mask = row_predicate(rows[:count])
         if mask.any():
             j = int(np.argmax(mask))
-            return finish(CAPPED, hit_index=j, hit_row=rows[j].copy())
-    if target_key is not None and target_key in index:
-        return finish(CAPPED, hit_index=index[target_key])
+            return finish(CAPPED, hit_row=rows[j].copy())
+    if target is not None and target.tobytes() in index:
+        return finish(CAPPED)
 
     frontier_lo = 0
     rounds = 0
@@ -216,8 +275,14 @@ def _closure(
         rounds += 1
         if budget.max_rounds is not None and rounds > budget.max_rounds:
             return finish(CAPPED)
-        new_derivs: dict[bytes, tuple] = {}
+        if target is not None:
+            hit = _first_product(alg, rows[:count], frontier_lo, target)
+            if hit is not None:
+                if count < cap:
+                    append(target[None, :], [hit])
+                return finish(CAPPED)
         new_rows: list[np.ndarray] = []
+        new_derivs: list[tuple] = []
         overflow = False
         for op_i, op in enumerate(alg.ops):
             r = op.arity
@@ -242,29 +307,16 @@ def _closure(
                             overflow = True
                             break
                         continue
-                    if want_derivations:
-                        for j, key in enumerate(keys):
-                            if key in known:
-                                continue
-                            if count + len(new_rows) >= cap:
-                                overflow = True
-                                break
-                            known.add(key)
-                            new_derivs[key] = (
-                                op_i,
-                                tuple(int(idx[j]) for idx in arg_idx),
-                            )
-                            new_rows.append(out[j].copy())
-                    else:
-                        known_add = known.add
-                        for j, key in enumerate(keys):
-                            if key in known:
-                                continue
-                            if count + len(new_rows) >= cap:
-                                overflow = True
-                                break
-                            known_add(key)
-                            new_rows.append(out[j].copy())
+                    for j, key in enumerate(keys):
+                        if key in known:
+                            continue
+                        if count + len(new_rows) >= cap:
+                            overflow = True
+                            break
+                        known_add(key)
+                        new_rows.append(out[j].copy())
+                        if want_derivations:
+                            new_derivs.append((op_i, tuple(int(idx[j]) for idx in arg_idx)))
                     if overflow or (work_cap is not None and work > work_cap):
                         overflow = True
                         break
@@ -275,20 +327,13 @@ def _closure(
         if new_rows:
             batch = np.asarray(new_rows, dtype=np.uint8)
             order = np.lexsort(batch.T[::-1])
-            if want_derivations:
-                bd = [new_derivs[batch[q].tobytes()] for q in order]
-            else:
-                bd = [None] * len(order)
             prev = count
-            append(batch[order], bd)
+            append(batch[order], [new_derivs[q] for q in order] if want_derivations else ())
             frontier_lo = prev
         else:
             frontier_lo = count
         if overflow:
             return finish(CAPPED)
-        if target_key is not None and target_key in index:
-            closed = frontier_lo == count  # no new elements in the final round
-            return finish(COMPLETE if closed else CAPPED, hit_index=index[target_key])
     return finish(COMPLETE)
 
 
@@ -302,9 +347,11 @@ def generate_subuniverse(
 ) -> SubUniverse:
     """Least closed subset of A^k containing the generators, within budget.
 
-    With ``target`` set, the run stops after the round in which the target
-    appears; membership of the target is then definitive even though the
-    returned set may be only a prefix of the closure (status CAPPED).
+    With ``target`` set, the run stops at the round that produces the
+    target: the returned set is the rounds before plus the target (status
+    CAPPED), membership of the target is definitive, and the term extracted
+    for it is the one the full closure gives.  Status COMPLETE with a target
+    means the whole closure lacks it.
     """
     if not gens:
         raise AlgebraError("generate_subuniverse: no generators")
@@ -313,12 +360,11 @@ def generate_subuniverse(
         raise AlgebraError(f"generators must be tuples of length {k}")
     if gen_rows.min() < 0 or gen_rows.max() >= alg.size:
         raise AlgebraError("generator entry out of range")
-    tkey = None
     if target is not None:
         if len(target) != k:
             raise AlgebraError(f"target must have length {k}")
-        tkey = np.asarray(target, dtype=np.uint8).tobytes()
-    res = _closure(alg, k, gen_rows.astype(np.uint8), budget, derivations, target_key=tkey)
+        target = np.asarray(target, dtype=np.uint8)
+    res = _closure(alg, k, gen_rows.astype(np.uint8), budget, derivations, target=target)
     gen_tuples = [tuple(int(v) for v in g) for g in gen_rows]
     return SubUniverse(alg, k, gen_tuples, res.rows, res.index, res.derivations, res.status)
 

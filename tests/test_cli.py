@@ -168,5 +168,22 @@ def test_cap_help_shows_default(capsys):
     with pytest.raises(SystemExit) as ex:
         main(["edges", "--help"])
     assert ex.value.code == 0
-    out = capsys.readouterr().out
+    out = " ".join(capsys.readouterr().out.split())
     assert str(DEFAULT_MAX_ELEMENTS) in out and "None" not in out
+    assert "per closure (default: no limit)" in out
+
+
+def test_bad_max_work_is_usage_error(capsys):
+    assert main(["edges", str(DATA / "S2.alg"), "--max-work", "0"]) == 2
+    assert "max_work" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as ex:
+        main(["edges", str(DATA / "S2.alg"), "--max-work", "abc"])
+    assert ex.value.code == 2
+
+
+def test_max_work_reaches_the_budget(capsys):
+    code, out = run(capsys, "edges", str(DATA / "M2.alg"), "--max-work", "1")
+    assert code == 3
+    assert json.loads(out)["pairs"][0]["unknown_types"]
+    code, _ = run(capsys, "edges", str(DATA / "M2.alg"), "--max-work", "1000000")
+    assert code == 0

@@ -1,11 +1,16 @@
+import numpy as np
 import pytest
 
+from algraph.congruence import all_congruences
 from algraph.core import (
     UNKNOWN,
     Algebra,
     AlgebraError,
     OpTable,
+    argument_grids,
     evaluate_term,
+    flat_index,
+    quotient_algebra,
     subalgebra_induced,
     term_table,
 )
@@ -28,7 +33,7 @@ from algraph.edges import (
     type1_divisor,
     verify_simple_case4,
 )
-from algraph.subpower import ClosureBudget
+from algraph.subpower import ClosureBudget, extract_term, find_term, generate_subuniverse
 from algraph.verify import idempotent_algebra, iter_idempotent_algebras
 
 
@@ -49,6 +54,76 @@ def test_majority_witness(algs):
         assert table(a, b, b) == b and table(b, a, b) == b and table(b, b, a) == b
     assert majority_witness(algs["S2"], 0, 1) is None
     assert majority_witness(algs["Z3A"], 0, 1) is None
+
+
+def _pointed_type(Q, a, b):
+    """Q's tables relabelled by a -> 0, b -> 1 and the rest in order: equal
+    for isomorphic quotients with the pair in the same place."""
+    order = np.array([a, b] + [x for x in range(Q.size) if x not in (a, b)])
+    relabel = np.argsort(order)
+    return Q.size, tuple(
+        relabel[op.values[flat_index(order[argument_grids(Q.size, op.arity)], Q.size)]].tobytes()
+        for op in Q.ops
+    )
+
+
+def _visited_quotients(populations):
+    """(Q, abar, bbar) for the quotients ``classify_pair`` searches over the
+    populations, the first of each pointed isomorphism type."""
+    seen = set()
+    for anas in populations.values():
+        for ana in anas:
+            alg = ana.alg
+            for a in range(alg.size):
+                for b in range(a + 1, alg.size):
+                    su = generate_subuniverse(alg, 1, [(a,), (b,)], derivations=False)
+                    sub, carrier = subalgebra_induced(alg, sorted(x for (x,) in su.elements()))
+                    a_loc, b_loc = carrier.index(a), carrier.index(b)
+                    for theta in all_congruences(sub):
+                        if theta.same(a_loc, b_loc):
+                            continue
+                        Q, bmap = quotient_algebra(sub, theta)
+                        key = _pointed_type(Q, bmap[a_loc], bmap[b_loc])
+                        if key not in seen:
+                            seen.add(key)
+                            yield Q, bmap[a_loc], bmap[b_loc]
+
+
+def _full_closure_term(Q, k, gens, target):
+    """The term of the target in the finished closure, searched without a
+    target, or None when the closure lacks it."""
+    full = generate_subuniverse(Q, k, gens)
+    assert full.is_complete()
+    idx = full.find(target)
+    return None if idx is None else extract_term(full, idx)
+
+
+def test_witness_searches_match_full_closure(populations):
+    """On the quotients that classify_pair searches, a search that stops at
+    the target's first derivation gives the finished closure's term, and
+    majority_witness, which may refute on a projection, is None exactly
+    when the 6-coordinate closure lacks the target."""
+    for Q, a, b in _visited_quotients(populations):
+        for gens, target in (([(a, b), (b, a)], (b, b)), ([(b, a), (a, b)], (a, a))):
+            want = str(_full_closure_term(Q, 2, gens, target))
+            assert str(find_term(Q, 2, gens, target, ClosureBudget())) == want, (Q.name, target)
+        gens = [(a, b, b, b, a, a), (b, a, b, a, b, a), (b, b, a, a, a, b)]
+        want = str(_full_closure_term(Q, 6, gens, (b, b, b, a, a, a)))
+        assert str(majority_witness(Q, a, b)) == want, (Q.name, a, b)
+
+
+def test_capped_majority_projection_is_never_refutation(algs):
+    """A projection closure cut by the budget decides nothing on its own."""
+    assert majority_witness(algs["S2"], 0, 1) is None  # refuted by (a,a,a)
+    generators_only = ClosureBudget(max_elements=3)
+    assert majority_witness(algs["S2"], 0, 1, generators_only) is UNKNOWN
+    for alg in algs.values():
+        if alg.name == "P2":
+            continue  # projections only: every closure is complete at its generators
+        for a in range(alg.size):
+            for b in range(alg.size):
+                if a != b:
+                    assert majority_witness(alg, a, b, generators_only) is UNKNOWN
 
 
 def test_affine_certificates(algs):

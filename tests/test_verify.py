@@ -3,7 +3,7 @@ import pytest
 import algraph.reduct
 import algraph.thin
 import algraph.verify
-from algraph.subpower import term_slice
+from algraph.subpower import ClosureBudget, term_slice
 from algraph.verify import (
     THEOREMS,
     Analysis,
@@ -13,6 +13,7 @@ from algraph.verify import (
     check_identities_suite,
     check_reduct,
     check_thin,
+    check_tolerance_classes,
     check_uniform,
     idempotent_algebra,
     run_suite,
@@ -49,6 +50,28 @@ def test_condition_matrix_evaluated_once(algs, monkeypatch):
     reports = run_suite(algs["RPS"], ("uniform", "identities", "thin"))
     assert [r.status for r in reports] == ["pass"] * 3
     assert len(calls) == 1
+
+
+def test_check_tolerance_classes_raises_programming_errors(algs, monkeypatch):
+    """Only a VerificationError from link_tolerance refutes the claim."""
+
+    def broken(*args, **kwargs):
+        raise TypeError("bug")
+
+    monkeypatch.setattr(algraph.verify, "link_tolerance", broken)
+    with pytest.raises(TypeError, match="bug"):
+        check_tolerance_classes(Analysis(algs["S2"]))
+
+
+def test_check_tolerance_classes_capped_relation_is_unknown(algs, monkeypatch):
+    """A relation cut by the budget leaves its pair undecided, not passed;
+    a definite failure elsewhere still fails."""
+    capped = Analysis(algs["S2"], ClosureBudget(max_elements=2))
+    rep = check_tolerance_classes(capped)
+    assert (rep.status, rep.detail) == ("unknown", {"capped_pair": [0, 1]})
+    assert check_tolerance_classes(Analysis(algs["S2"])).status == "pass"
+    monkeypatch.setattr(algraph.verify, "is_class_subuniverse", lambda alg, cls: False)
+    assert check_tolerance_classes(capped).status == "fail"
 
 
 def test_check_thin_raises_programming_errors(algs, monkeypatch):
