@@ -7,6 +7,16 @@ blocks of a and b.  Witness operations are found as membership targets in
 small generated subpowers of the quotient, so every reported witness comes
 with an explicit term that re-evaluates to the claimed behavior.
 
+An affine quotient has x-y+z of an abelian group as a term operation
+commuting with its basic operations.  Such a quotient is abelian, and an
+abelian algebra has at most one Maltsev term operation (Freese-McKenzie,
+*Commutator Theory for Congruence Modular Varieties*), so
+``affine_certificates`` decides it from one candidate.  The term condition
+refutes, because operations commuting with x-y+z are affine maps, which
+satisfy it.  A missing Maltsev term refutes, because x-y+z would be one.  A
+Maltsev term m commuting with every basic operation certifies, because it
+then commutes with itself, so it is x-y+z for the group x+y := m(x,0,y).
+
 The standing assumption on input algebras (idempotent, no degenerate
 two-element projection-only quotient anywhere) is checked two ways:
 
@@ -32,7 +42,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -44,8 +53,9 @@ from .core import (
     AlgebraError,
     OpTable,
     TermExpr,
+    VerificationError,
     argument_grids,
-    flat_index,
+    evaluate_term_columns,
     product_algebra,
     quotient_algebra,
     subalgebra_induced,
@@ -70,18 +80,12 @@ STRICT_AFFINE = "strictly-affine"
 
 @dataclass(frozen=True)
 class AffineCertificate:
-    """Abelian group structure making x-y+z a term operation of a quotient.
+    """x-y+z of an abelian group as a term operation of a quotient:
+    ``maltsev`` is its table, commuting with every basic operation, and
+    ``term`` a term evaluating to it."""
 
-    ``group`` is the group table, ``identity`` its neutral element,
-    ``maltsev`` the x-y+z table, ``term`` a term evaluating to it, and
-    ``compat_checked`` records that every basic operation commutes with it.
-    """
-
-    group: OpTable
-    identity: int
     maltsev: OpTable
     term: TermExpr
-    compat_checked: bool
 
 
 @dataclass(frozen=True)
@@ -98,7 +102,7 @@ class EdgeInfo:
     unknown_types: frozenset[str]
     theta: dict
     witnesses: dict
-    affine_certs: tuple[AffineCertificate, ...]
+    affine_cert: AffineCertificate | None
     semilattice_orientations: frozenset[str]
     strict: str | None
 
@@ -152,150 +156,84 @@ def majority_witness(Q: Algebra, abar: int, bbar: int, budget: ClosureBudget = D
     return find_term(Q, 6, gens, target, budget)
 
 
-def _abelian_structures(q: int) -> list[tuple[int, ...]]:
-    """Cyclic invariant factor shapes of all abelian groups of order q."""
-    def factor(m):
-        out = {}
-        d = 2
-        while d * d <= m:
-            while m % d == 0:
-                out[d] = out.get(d, 0) + 1
-                m //= d
-            d += 1
-        if m > 1:
-            out[m] = out.get(m, 0) + 1
-        return out
+def _term_condition(alg: Algebra) -> bool:
+    """Does every basic operation satisfy the term condition in each argument?
 
-    def partitions(k):
-        if k == 0:
-            yield ()
-            return
-        for first in range(k, 0, -1):
-            for rest in partitions(k - first):
-                if not rest or rest[0] <= first:
-                    yield (first,) + rest
-
-    shapes = [[]]
-    for p, e in factor(q).items():
-        new = []
-        for part in partitions(e):
-            for base in shapes:
-                new.append(base + [p**x for x in part])
-        shapes = new
-    return [tuple(sorted(s, reverse=True)) for s in shapes]
-
-
-@lru_cache(maxsize=None)
-def maltsev_tables(q: int) -> tuple[tuple[OpTable, int, OpTable], ...]:
-    """Distinct x-y+z tables over all abelian group labelings of {0..q-1}.
-
-    Returns (group_table, identity, maltsev_table) triples; relabelings
-    producing the same x-y+z table are deduplicated.
+    f(..x@i..c) = f(..y@i..c) must imply f(..x@i..d) = f(..y@i..d): which
+    values of the i-th argument f identifies may not depend on the others.
     """
-    if q > 8:
-        raise AlgebraError("abelian group enumeration limited to size 8")
-    out = []
-    seen: set[bytes] = set()
-    universe = list(range(q))
-    for shape in _abelian_structures(q):
-        # group elements as mixed-radix tuples over the cyclic factors
-        def g_add(u, v):
-            return tuple((x + y) % m for x, y, m in zip(u, v, shape))
-
-        def g_neg(u):
-            return tuple((-x) % m for x, m in zip(u, shape))
-
-        elems = list(itertools.product(*[range(m) for m in shape]))
-        enc = {e: i for i, e in enumerate(elems)}
-        for perm in itertools.permutations(universe):
-            # perm[i] = label of group element elems[i]
-            lab = list(perm)
-            inv = [0] * q
-            for i, l in enumerate(lab):
-                inv[l] = i
-            m_vals = np.empty(q**3, dtype=np.uint8)
-            idx = 0
-            for x in universe:
-                ex = elems[inv[x]]
-                for y in universe:
-                    ey = elems[inv[y]]
-                    xy = g_add(ex, g_neg(ey))
-                    for z in universe:
-                        m_vals[idx] = lab[enc[g_add(xy, elems[inv[z]])]]
-                        idx += 1
-            key = m_vals.tobytes()
-            if key in seen:
-                continue
-            seen.add(key)
-            g_vals = np.empty(q * q, dtype=np.uint8)
-            idx = 0
-            for x in universe:
-                for y in universe:
-                    g_vals[idx] = lab[enc[g_add(elems[inv[x]], elems[inv[y]])]]
-                    idx += 1
-            ident = lab[enc[tuple(0 for _ in shape)]]
-            out.append(
-                (
-                    OpTable("add", 2, q, g_vals),
-                    ident,
-                    OpTable("mal", 3, q, m_vals),
-                )
-            )
-    return tuple(out)
+    q = alg.size
+    for op in alg.ops:
+        for i in range(op.arity):
+            rows = np.moveaxis(op.table(), i, 0).reshape(q, -1)
+            eq = rows[:, None, :] == rows[None, :, :]
+            if not (eq == eq[:, :, :1]).all():
+                return False
+    return True
 
 
 def _commutes(alg: Algebra, m: OpTable) -> bool:
-    """Does every basic operation commute with the ternary table m?"""
+    """Does every basic operation f commute with the ternary table m?
+
+    f(m(x1,y1,z1), .., m(xr,yr,zr)) = m(f(x), f(y), f(z)) is checked for one
+    tuple x at a time, over all tuples y, z at once.
+    """
     q = alg.size
-    mv = m.values
+    mt = m.table()
+    wide = mt.astype(np.intp)
     for op in alg.ops:
         r = op.arity
-        total = q ** (3 * r)
-        chunk = 1 << 20
-        for start in range(0, total, chunk):
-            t = np.arange(start, min(start + chunk, total), dtype=np.int64)
-            digits = []
-            rest = t
-            for _ in range(3 * r):
-                digits.append(rest % q)
-                rest = rest // q
-            digits.reverse()  # leftmost most significant
-            xs = digits[0:r]
-            ys = digits[r : 2 * r]
-            zs = digits[2 * r : 3 * r]
-            fx, fy, fz = (op.values[flat_index(c, q)] for c in (xs, ys, zs))
-            lhs = mv[flat_index((fx, fy, fz), q)]
-            margs = (mv[flat_index((xs[j], ys[j], zs[j]), q)] for j in range(r))
-            rhs = op.values[flat_index(margs, q)]
-            if not np.array_equal(lhs, rhs):
+        f = op.values
+        m_of_f = mt[:, f[:, None], f[None, :]]  # m(u, f(y), f(z)) for every u
+        for i, x in enumerate(itertools.product(range(q), repeat=r)):
+            # m(x_j, y_j, z_j) on axes y_j = j and z_j = r + j
+            args = 0
+            for j, xj in enumerate(x):
+                shape = [1] * (2 * r)
+                shape[j] = shape[r + j] = q
+                args = args * q + wide[xj].reshape(shape)
+            if not np.array_equal(f[args].reshape(q**r, q**r), m_of_f[f[i]]):
                 return False
     return True
 
 
 def affine_certificates(Q: Algebra, budget: ClosureBudget = DEFAULT_BUDGET):
-    """All affine certificates of a quotient algebra: abelian group structures
-    whose x-y+z commutes with every basic operation and is a term operation.
+    """The affine certificate of a quotient, x-y+z of an abelian group as a
+    term operation commuting with every basic operation: (certificate or
+    None, capped flag).  There is at most one (Freese-McKenzie: an abelian
+    algebra has at most one Maltsev term operation), decided exactly by
 
-    Returns (list of certificates, capped flag).  The commutation check runs
-    first; the term-slice membership search is only attempted for structures
-    passing it, with early exit on the target column.
+    1. the term condition on the basic operations, which every affine map
+       sum(a_i x_i) + c, so every operation commuting with x-y+z, satisfies;
+    2. a Maltsev term m, m(x,y,y) = x = m(y,y,x); x-y+z would be one;
+    3. m commuting with every basic operation: the term operation m then
+       commutes with itself, so it is x-y+z for x+y := m(x,0,y).
+
+    The certificate's term is m's table searched in the q^3-coordinate
+    subpower generated by the projection columns.
     """
     q = Q.size
     if q < 2:
         raise AlgebraError("affine certificate needs at least 2 elements")
-    certs: list[AffineCertificate] = []
-    capped = False
+    if not _term_condition(Q):
+        return None, False
+    pairs = [(x, y) for x in range(q) for y in range(q)]
+    triples = [(x, y, y) for x, y in pairs] + [(y, y, x) for x, y in pairs if x != y]
+    target = [x for x, _ in pairs] + [x for x, y in pairs if x != y]
+    m = find_term(Q, len(triples), list(zip(*triples)), target, budget)
+    if m is None or m is UNKNOWN:
+        return None, m is UNKNOWN
     cols = argument_grids(q, 3)
+    mal = OpTable("mal", 3, q, evaluate_term_columns(Q, m, cols))
+    if not _commutes(Q, mal):
+        return None, False
     gens = [tuple(int(v) for v in cols[j]) for j in range(3)]
-    for g_table, ident, m in maltsev_tables(q):
-        if not _commutes(Q, m):
-            continue
-        term = find_term(Q, q**3, gens, tuple(int(v) for v in m.values), budget)
-        if term is UNKNOWN:
-            capped = True
-        elif term is not None:
-            certs.append(AffineCertificate(g_table, ident, m, term, True))
-    return certs, capped
+    term = find_term(Q, q**3, gens, tuple(int(v) for v in mal.values), budget)
+    if term is UNKNOWN:
+        return None, True
+    if term is None:
+        raise VerificationError("Maltsev term operation missing from the ternary term slice")
+    return AffineCertificate(mal, term), False
 
 
 def classify_pair(alg: Algebra, a: int, b: int, budget: ClosureBudget = DEFAULT_BUDGET) -> EdgeInfo:
@@ -338,9 +276,9 @@ def classify_pair(alg: Algebra, a: int, b: int, budget: ClosureBudget = DEFAULT_
         elif mj is not None:
             witnessed[MAJORITY].append((theta, mj))
 
-        certs, capped = affine_certificates(Q, budget)
-        if certs:
-            witnessed[AFFINE].append((theta, tuple(certs)))
+        cert, capped = affine_certificates(Q, budget)
+        if cert is not None:
+            witnessed[AFFINE].append((theta, cert))
         elif capped:
             unknown_at[AFFINE] = True
 
@@ -349,7 +287,7 @@ def classify_pair(alg: Algebra, a: int, b: int, budget: ClosureBudget = DEFAULT_
 
     theta_min: dict[str, Partition] = {}
     witnesses: dict[str, TermExpr] = {}
-    affine_certs: tuple[AffineCertificate, ...] = ()
+    affine_cert: AffineCertificate | None = None
     sl_orients: frozenset[str] = frozenset()
     for t in EDGE_TYPES:
         if not witnessed[t]:
@@ -364,8 +302,8 @@ def classify_pair(alg: Algebra, a: int, b: int, budget: ClosureBudget = DEFAULT_
         theta, payload = minimal[0]
         theta_min[t] = theta
         if t == AFFINE:
-            affine_certs = payload
-            witnesses[t] = payload[0].term
+            affine_cert = payload
+            witnesses[t] = payload.term
         else:
             witnesses[t] = payload
         if t == SEMILATTICE:
@@ -391,7 +329,7 @@ def classify_pair(alg: Algebra, a: int, b: int, budget: ClosureBudget = DEFAULT_
         unknown_types=unknown_types,
         theta=theta_min,
         witnesses=witnesses,
-        affine_certs=affine_certs,
+        affine_cert=affine_cert,
         semilattice_orientations=sl_orients,
         strict=strict,
     )
@@ -635,8 +573,8 @@ def verify_simple_case4(alg: Algebra, a: int, b: int, budget: ClosureBudget = DE
         return {"status": "skipped", "reason": "algebra is not simple"}
     if not is_tolerance_free(alg):
         return {"status": "skipped", "reason": "algebra is not tolerance free"}
-    certs, capped = affine_certificates(alg, budget)
-    if certs:
+    cert, capped = affine_certificates(alg, budget)
+    if cert is not None:
         return {"status": "skipped", "reason": "algebra has an affine certificate"}
     if capped:
         return {"status": "unknown", "reason": "affine check capped"}

@@ -180,7 +180,7 @@ def cond_sl_composition(table: OpTable, f: OpTable, e: EdgeInfo) -> bool:
 
 
 def cond_h_affine(h: OpTable, e: EdgeInfo) -> bool:
-    """h acts on the whole quotient as x-y+z of some certified group."""
+    """h acts on the whole quotient as the certificate's x-y+z."""
     bid = e.theta[AFFINE].block_id
     reps = sorted(set(bid))
     # quotient label of every element of the carrier, -1 outside it
@@ -190,7 +190,7 @@ def cond_h_affine(h: OpTable, e: EdgeInfo) -> bool:
     vals = quot[h.table()[np.ix_(e.carrier, e.carrier, e.carrier)]]
     if (vals < 0).any():
         return False
-    return any(np.array_equal(vals, c.maltsev.table()[np.ix_(q, q, q)]) for c in e.affine_certs)
+    return np.array_equal(vals, e.affine_cert.maltsev.table()[np.ix_(q, q, q)])
 
 
 def _proj1(kind: str):

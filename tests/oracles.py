@@ -122,3 +122,28 @@ def table_is_majority_on(table3, n, a, b):
         if not (at(x, x, y) == x and at(x, y, x) == x and at(y, x, x) == x):
             return False
     return True
+
+
+def affine_certificate_tables(alg):
+    """The x-y+z tables of Z_q, under every labelling of {0..q-1}, that
+    commute with every operation and are term operations; q <= 3, where
+    every abelian group is cyclic."""
+    q = alg.size
+    assert q <= 3
+    triples = list(itertools.product(range(q), repeat=3))
+    commuting = set()
+    for lab in itertools.permutations(range(q)):
+        inv = {v: i for i, v in enumerate(lab)}
+        mal = {t: lab[(inv[t[0]] - inv[t[1]] + inv[t[2]]) % q] for t in triples}
+        if all(
+            op(*[mal[col] for col in zip(xs, ys, zs)]) == mal[(op(*xs), op(*ys), op(*zs))]
+            for op in alg.ops
+            for xs in itertools.product(range(q), repeat=op.arity)
+            for ys in itertools.product(range(q), repeat=op.arity)
+            for zs in itertools.product(range(q), repeat=op.arity)
+        ):
+            commuting.add(tuple(mal[t] for t in triples))
+    if not commuting:
+        return set()
+    terms = naive_close(alg, len(triples), [[t[j] for t in triples] for j in range(3)])
+    return commuting & terms

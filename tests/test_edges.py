@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,6 @@ from algraph.edges import (
     is_strictly_simple,
     is_tolerance_free,
     majority_witness,
-    maltsev_tables,
     omits_type1,
     semilattice_witness,
     type1_divisor,
@@ -35,6 +36,7 @@ from algraph.edges import (
 )
 from algraph.subpower import ClosureBudget, extract_term, find_term, generate_subuniverse
 from algraph.verify import idempotent_algebra, iter_idempotent_algebras
+from oracles import affine_certificate_tables
 
 
 def test_semilattice_witness(algs):
@@ -127,25 +129,100 @@ def test_capped_majority_projection_is_never_refutation(algs):
 
 
 def test_affine_certificates(algs):
-    certs, capped = affine_certificates(algs["Z3A"])
-    assert certs and not capped
-    cert = certs[0]
+    cert, capped = affine_certificates(algs["Z3A"])
+    assert cert is not None and not capped
     assert list(cert.maltsev.values) == list(algs["Z3A"].ops[0].values)
     mal = term_table(algs["Z3A"], cert.term, 3)
     assert list(mal.values) == list(cert.maltsev.values)
 
-    certs2, _ = affine_certificates(algs["A2"])
-    assert certs2 and certs2[0].maltsev(1, 0, 0) == 1
+    cert2, _ = affine_certificates(algs["A2"])
+    assert cert2.maltsev(1, 0, 0) == 1
 
-    assert affine_certificates(algs["S2"]) == ([], False)
-    assert affine_certificates(algs["M2"]) == ([], False)
+    assert affine_certificates(algs["S2"]) == (None, False)
+    assert affine_certificates(algs["M2"]) == (None, False)
 
 
-def test_maltsev_tables_counts():
-    assert len(maltsev_tables(2)) == 1
-    assert len(maltsev_tables(3)) == 1
-    # order 4: three labelings of the cyclic group, one of the 2x2 group
-    assert len(maltsev_tables(4)) == 4
+def _affine_algebra(name, q, arity, value):
+    args = itertools.product(range(q), repeat=arity)
+    return Algebra(name, q, [OpTable("t", arity, q, [value(*x) % q for x in args])])
+
+
+def _assert_certificate(alg, want):
+    """alg has one affine certificate, whose table is ``want`` and whose
+    term evaluates to it."""
+    cert, capped = affine_certificates(alg)
+    assert cert is not None and not capped, alg.name
+    assert cert.maltsev.values.tolist() == want
+    assert term_table(alg, cert.term, 3).values.tolist() == want
+
+
+def test_affine_certificates_match_oracle(populations):
+    """On the quotients classify_pair searches, a certificate is found
+    exactly when the group-labelling oracle finds one, with its table."""
+    for Q, _, _ in _visited_quotients(populations):
+        cert, capped = affine_certificates(Q)
+        assert not capped
+        want = {tuple(cert.maltsev.values.tolist())} if cert is not None else set()
+        assert affine_certificate_tables(Q) == want, Q.name
+
+
+def test_affine_certificate_noncommuting_coefficients():
+    """V4nc is Z2^2 with t = Ax + By + (I+A+B)z for the non-commuting
+    matrices A = [[1,1],[0,1]], B = [[0,0],[1,0]]: t does not commute with
+    itself, yet x+y+z is a term operation commuting with it."""
+
+    def apply(m, v):
+        bits = [(v >> 1) & 1, v & 1]
+        return sum(((m[i][0] * bits[0] + m[i][1] * bits[1]) % 2) << (1 - i) for i in range(2))
+
+    A, B, C = [[1, 1], [0, 1]], [[0, 0], [1, 0]], [[0, 1], [1, 0]]
+    v4nc = _affine_algebra("V4nc", 4, 3, lambda x, y, z: apply(A, x) ^ apply(B, y) ^ apply(C, z))
+    _assert_certificate(v4nc, [x ^ y ^ z for x, y, z in itertools.product(range(4), repeat=3)])
+
+
+def test_affine_certificate_needs_commutation():
+    """x y^-1 z on S3 passes the term condition and is a Maltsev term, but
+    does not commute with itself: no certificate."""
+    perms = list(itertools.permutations(range(3)))
+
+    def mul(u, v):
+        return tuple(u[v[i]] for i in range(3))
+
+    def inv(u):
+        return tuple(sorted(range(3), key=lambda i: u[i]))
+
+    vals = [
+        perms.index(mul(mul(x, inv(y)), z)) for x, y, z in itertools.product(perms, repeat=3)
+    ]
+    s3 = Algebra("S3m", 6, [OpTable("t", 3, 6, vals)])
+    assert affine_certificates(s3) == (None, False)
+
+
+@pytest.mark.parametrize("q", [9, 11])
+def test_affine_certificate_beyond_size_8(q):
+    alg = _affine_algebra(f"Z{q}", q, 2, lambda x, y: 2 * x - y)
+    _assert_certificate(alg, [(x - y + z) % q for x, y, z in itertools.product(range(q), repeat=3)])
+
+
+# certificate term of every pair, as the group-labelling enumeration found it
+AFFINE_TERMS = {
+    "Z4": (
+        4,
+        3,
+        lambda x, y, z: x + y + 3 * z,
+        {(0, 2): "(t x0 x1 x2)", (1, 3): "(t x0 x1 x2)"},
+        "(t x0 x2 x1)",
+    ),
+    "Z5": (5, 2, lambda x, y: 2 * x + 4 * y, {}, "(t (t x1 x0) (t x0 x2))"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AFFINE_TERMS))
+def test_affine_terms_pinned(name):
+    q, arity, value, special, default = AFFINE_TERMS[name]
+    graph = edge_graph(_affine_algebra(name, q, arity, value))
+    terms = {pair: str(e.witnesses[AFFINE]) for pair, e in graph.edges.items()}
+    assert terms == {pair: special.get(pair, default) for pair in itertools.combinations(range(q), 2)}
 
 
 def test_classify_fixture_pairs(algs):
@@ -237,8 +314,7 @@ def test_theta_minimality(algs):
                         elif kind == MAJORITY:
                             assert majority_witness(Q, ab, bb) is None
                         else:
-                            certs, _ = affine_certificates(Q)
-                            assert not certs
+                            assert affine_certificates(Q)[0] is None
 
 
 def test_edge_graph_fixtures(algs, pipelines):

@@ -25,3 +25,39 @@ def test_no_unused_imports():
         if path.name != "__init__.py" and (names := unused_imports(path.read_text()))
     }
     assert unused == {}
+
+
+def _defined(node) -> set[str]:
+    """Names a module-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return {t.id for t in targets if isinstance(t, ast.Name)}
+
+
+def _referenced(node) -> set[str]:
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(a.name for a in sub.names)
+    return names
+
+
+def test_no_dead_private_helpers():
+    """Every module-level ``_name`` is referenced somewhere in the package
+    outside its own definition."""
+    statements = [
+        node for path in sorted(PACKAGE.glob("*.py")) for node in ast.parse(path.read_text()).body
+    ]
+    private = {
+        name
+        for node in statements
+        for name in _defined(node)
+        if name.startswith("_") and not name.startswith("__")
+    }
+    used = set().union(*(_referenced(node) - _defined(node) for node in statements))
+    assert sorted(private - used) == []

@@ -86,13 +86,10 @@ def _loop_h_affine(h, e):
     bid = e.theta[AFFINE].block_id
     reps = sorted(set(bid))
     label = {x: reps.index(bid[i]) for i, x in enumerate(e.carrier)}
-    return any(
-        all(
-            h(x, y, z) in label
-            and label[h(x, y, z)] == cert.maltsev(label[x], label[y], label[z])
-            for x, y, z in itertools.product(e.carrier, repeat=3)
-        )
-        for cert in e.affine_certs
+    mal = e.affine_cert.maltsev
+    return all(
+        h(x, y, z) in label and label[h(x, y, z)] == mal(label[x], label[y], label[z])
+        for x, y, z in itertools.product(e.carrier, repeat=3)
     )
 
 
