@@ -168,7 +168,7 @@ def projection(size: int, arity: int, pos: int, name: str | None = None) -> OpTa
 class Algebra:
     """A named universe size with a nonempty list of idempotent operations."""
 
-    __slots__ = ("name", "size", "ops", "_by_name", "_stacked")
+    __slots__ = ("name", "size", "ops", "_by_name", "_powers")
 
     def __init__(self, name: str, size: int, ops: Sequence[OpTable]):
         if size < 1:
@@ -193,7 +193,7 @@ class Algebra:
         self.size = size
         self.ops = tuple(ops)
         self._by_name = by_name
-        self._stacked: dict[int, tuple[np.ndarray, list[int]]] = {}
+        self._powers: dict[int, tuple[list[np.ndarray], np.ndarray]] = {}
 
     def op(self, name: str) -> OpTable:
         try:
@@ -204,16 +204,28 @@ class Algebra:
     def signature(self) -> tuple[tuple[str, int], ...]:
         return tuple((op.name, op.arity) for op in self.ops)
 
-    def stacked_tables(self, arity: int) -> tuple[np.ndarray, list[int]]:
-        """All tables of the given arity stacked, plus their op indices."""
-        if arity not in self._stacked:
-            idxs = [i for i, op in enumerate(self.ops) if op.arity == arity]
-            if idxs:
-                stack = np.stack([self.ops[i].values for i in idxs])
-            else:
-                stack = np.empty((0, self.size**arity), dtype=np.uint8)
-            self._stacked[arity] = (stack, idxs)
-        return self._stacked[arity]
+    def power_tables(self, w: int) -> tuple[list[np.ndarray], np.ndarray]:
+        """The operations of the power A^w, w-tuples coded by their flat
+        index, each as a flat table like ``OpTable.values``; and the (w, n**w)
+        digits of every code.  Codes must fit a byte: n**w <= 256.  Cached."""
+        if w not in self._powers:
+            n = self.size
+            if n**w > 256:
+                raise AlgebraError(f"power_tables: {n}**{w} codes do not fit a byte")
+            tables = []
+            for op in self.ops:
+                r, base = op.arity, op.table()
+                table = base
+                for _ in range(w - 1):  # append one coordinate to every argument
+                    m = table.shape[0]
+                    wider = table.reshape((m, 1) * r) * n + base.reshape((1, n) * r)
+                    table = wider.reshape((m * n,) * r)
+                tables.append(table.ravel())
+            digits = argument_grids(n, w)
+            for array in (*tables, digits):
+                array.setflags(write=False)
+            self._powers[w] = (tables, digits)
+        return self._powers[w]
 
     def arities(self) -> tuple[int, ...]:
         return tuple(sorted({op.arity for op in self.ops}))

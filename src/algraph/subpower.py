@@ -6,19 +6,46 @@ operation coordinatewise to all argument tuples that touch the frontier
 sorts the genuinely new elements lexicographically and appends them.
 This makes element order, derivations and extracted terms reproducible.
 
-A search for a target tuple looks for the target among a round's products
-before it streams the round, and stops at the round that produces it: the
-target is appended alone, with the derivation of its first occurrence in
-streaming order.  Extracted terms are the same as from the finished
-closure: the derivation kept for a new element is always its first
-occurrence in the round, and its parents lie in earlier rounds, whose row
-indices do not depend on the current one.  The look-up costs a small part
-of a round, so a search's cost does not depend on where in the round's
-order, which follows the labelling of the algebra, the target lies.
+Rows are integer-coded.  The k coordinates are cut into blocks of at most
+w consecutive coordinates, and a block is coded by its flat index, the
+first coordinate most significant.  An operation of arity r acts on block
+codes through one table of n^(w*r) entries, the operation of the power A^w,
+so a product costs one table look-up per block instead of one per
+coordinate.  A row's key is its flat index, an int64, while n^k < 2^63, and
+otherwise the byte string of its block codes; both order rows
+lexicographically.  Keys are held in one of two backends, chosen by n^k: a
+dense array of row positions over all n^k keys when n^k <= ``_DENSE_KEYS``,
+and otherwise sorted runs of keys, searched with ``searchsorted`` and
+merged when they pile up.
 
-Tuples are stored as rows of a uint8 matrix; argument combinations are
-streamed in fixed-size chunks so memory stays bounded by the chunk size
-plus the element store.
+The argument tuples of a round are streamed, in row-major order, in chunks
+of ``_CHUNK`` tuples of each (operation, first frontier argument) block.
+2^13 to 2^15 tuples were fastest on 4-element A^6 closures, and 2^17 about
+20 % slower: a chunk's int64 temporaries then outgrow the cache.  A chunk
+is deduplicated at once: the backend drops the keys already stored or new
+in the round and keeps the first occurrence of each remaining one
+(``np.minimum.at`` on the dense array, ``np.unique`` on sorted runs), so
+the derivation kept for a new row is its first occurrence in streaming
+order.  The budget is checked at fixed points that do not depend on the
+chunk size (see ``ClosureBudget``), so no answer does.
+
+A search for a target tuple stops at the round that produces it: the target
+is appended alone, with the derivation of its first occurrence in streaming
+order.  Extracted terms are the same as from the finished closure: the
+derivation kept for a new element is always its first occurrence in the
+round, and its parents lie in earlier rounds, whose row indices do not
+depend on the current one.  A round of fewer than ``_SCAN_ROUND`` argument
+tuples is scanned: the target test is folded into each chunk's
+deduplication (the target is not stored, so its first occurrence in a chunk
+is that of a new key), and after a cap stops the round its remaining chunks
+are still tested.  Small rounds are the common case, where a look-up would
+cost more than the round.  A larger round is first searched by
+``_first_product``, which costs a small part of the round, so the cost of a
+search does not depend on where in the round's order, which follows the
+labelling of the algebra, the target lies.  Both rules are exact and agree:
+each finds the target's first occurrence in the round's streaming order,
+ignores the caps within that round, and drops the round's other new rows,
+so they give the same rows, derivations and status.
 
 ``find_term`` is the package's one witness search: membership of a target
 tuple, answered by a re-verified term, None, or UNKNOWN under a cap.
@@ -26,6 +53,7 @@ tuple, answered by a re-verified term, None, or UNKNOWN under a cap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -46,7 +74,11 @@ from .core import (
 )
 
 DEFAULT_MAX_ELEMENTS = 4_194_304
-_CHUNK = 1 << 17
+_CHUNK = 1 << 14  # argument tuples per streamed chunk
+_WORK_UNIT = 1 << 17  # max_work is checked at the end of each unit of a block
+_DENSE_KEYS = 1 << 16  # largest n^k held in a dense position array
+_TABLE_ENTRIES = 1 << 16  # largest block-coded operation table
+_SCAN_ROUND = 1 << 17  # rounds with fewer argument tuples are scanned for a target
 
 COMPLETE = "complete"
 CAPPED = "capped"
@@ -58,8 +90,16 @@ class ClosureBudget:
 
     ``max_work`` bounds the total number of argument tuples evaluated, which
     caps runs whose element count stays modest but whose quadratic pair work
-    does not.  A target search's look-up of the target in a round evaluates
-    prefixes, not argument tuples, and is not counted.  All three caps are
+    does not.  It is checked at the end of each unit of ``_WORK_UNIT``
+    argument tuples of an (operation, first frontier argument) block, and at
+    the block's end, so a run stops at the end of the unit in which its work
+    passes the cap, with that unit's new rows kept.  A unit is streamed as
+    whole chunks of ``_CHUNK`` tuples; the check points, and so every capped
+    answer, do not depend on the chunk size.  ``max_elements`` stops a run at
+    the first new row, in streaming order, that finds no room.  A target
+    search's look-up of the target in a round evaluates prefixes, not
+    argument tuples, and is not counted; neither is a scanned round's test
+    for the target after a cap stopped it.  All three caps are
     deterministic.
     """
 
@@ -85,6 +125,8 @@ class SubUniverse:
     ``derivations[i]`` is None for generators and ``(op_index, parents)``
     otherwise, where ``parents`` indexes earlier elements.  When built with
     ``derivations=False`` the list is None and term extraction is refused.
+    ``index`` holds the rows' keys: ``find`` codes a tuple and looks its key
+    up, and answers None for any tuple outside A^k.
     """
 
     __slots__ = ("base", "power", "generators", "rows", "index", "derivations", "status")
@@ -109,8 +151,9 @@ class SubUniverse:
             yield self.element(i)
 
     def find(self, target: Sequence[int]) -> int | None:
-        key = np.asarray(target, dtype=np.uint8).tobytes()
-        return self.index.get(key)
+        if len(target) != self.power or not all(0 <= v < self.base.size for v in target):
+            return None
+        return self.index.find(target)
 
     def as_set(self) -> set[tuple[int, ...]]:
         return set(self.elements())
@@ -119,25 +162,247 @@ class SubUniverse:
         return self.status == COMPLETE
 
 
-def _stream_blocks(ranges: list[tuple[int, int]], chunk: int) -> Iterator[tuple[np.ndarray, ...]]:
-    """Stream the cartesian product of index ranges in row-major order."""
-    sizes = [hi - lo for lo, hi in ranges]
-    total = 1
-    for s in sizes:
-        total *= s
-    if total == 0:
-        return
-    strides = []
-    acc = 1
-    for s in reversed(sizes):
-        strides.append(acc)
-        acc *= s
-    strides.reverse()
-    for start in range(0, total, chunk):
-        t = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        yield tuple(
-            (t // strides[j]) % sizes[j] + ranges[j][0] for j in range(len(ranges))
-        )
+class _RowKeys:
+    """Block codes and keys of the rows of A^k, and the positions of the
+    stored rows by key.
+
+    The blocks have width w or w - 1, the wider first, where w is the
+    largest width whose codes fit a byte and whose operation tables have at
+    most ``_TABLE_ENTRIES`` entries, and no more than A^k has rows, for
+    every operation: a closure too small to repay a table builds none (a
+    width-1 table is the operation's own).  The blocks of one width form a
+    group, coded together: ``(blocks, width, coordinates, n**width, tables,
+    digits)``, where ``tables`` and ``digits`` are
+    ``Algebra.power_tables(width)``.  Keys are int64 flat indices when
+    ``int_keys``, else byte strings.  Subclasses hold the positions.
+    """
+
+    def __init__(self, alg: Algebra, k: int):
+        n = alg.size
+        r = max(op.arity for op in alg.ops)
+        w = 1
+        entries = min(_TABLE_ENTRIES, n**k)
+        while w < k and n ** (w + 1) <= 256 and n ** ((w + 1) * r) <= entries:
+            w += 1
+        nb = -(-k // w)
+        w = -(-k // nb)
+        wide = k - nb * (w - 1)
+        self.n, self.k, self.nb = n, k, nb
+        self.groups = [
+            (blocks, v, coords, n**v, *alg.power_tables(v))
+            for blocks, v, coords in (
+                (slice(0, wide), w, slice(0, wide * w)),
+                (slice(wide, nb), w - 1, slice(wide * w, k)),
+            )
+            if blocks.start < blocks.stop
+        ]
+        self.int_keys = n**k < 2**63
+        self.void = np.dtype((np.void, nb))
+
+    def encode(self, rows: np.ndarray) -> np.ndarray:
+        """(nb, m) uint8 block codes of an (m, k) array of rows."""
+        m = len(rows)
+        out = np.empty((self.nb, m), dtype=np.uint8)
+        for blocks, v, coords, *_ in self.groups:
+            weights = self.n ** np.arange(v - 1, -1, -1, dtype=np.int64)
+            out[blocks] = (rows[:, coords].reshape(m, -1, v) @ weights).T
+        return out
+
+    def digits(self, blocks: np.ndarray) -> np.ndarray:
+        """(m, k) uint8 rows, a transposed view, of (nb, m) block codes."""
+        m = blocks.shape[1]
+        out = np.empty((self.k, m), dtype=np.uint8)
+        for group, v, coords, _, _, digits in self.groups:
+            codes = blocks[group]
+            for i in range(v):  # digit i of every block of the group
+                out[coords.start + i : coords.stop : v] = digits[i][codes]
+        return out.T
+
+    def keys(self, blocks: np.ndarray) -> np.ndarray:
+        """Keys of (nb, m) block codes."""
+        if not self.int_keys:
+            return np.ascontiguousarray(blocks.T).view(self.void).ravel()
+        keys = blocks[0].astype(np.int64)
+        for group, _, _, size, _, _ in self.groups:
+            for code in blocks[max(group.start, 1) : group.stop]:  # Horner's rule
+                keys *= size
+                keys += code
+        return keys
+
+    def key(self, row: Sequence[int]):
+        """The key of one row of A^k."""
+        if not self.int_keys:
+            return self.keys(self.encode(np.asarray([row], dtype=np.int64)))[0]
+        key = 0
+        for v in row:
+            key = key * self.n + int(v)
+        return key
+
+    def find(self, row: Sequence[int]) -> int | None:
+        """Position of a stored row of A^k, or None."""
+        return self.lookup(self.key(row))
+
+
+class _DenseKeys(_RowKeys):
+    """Positions in an array over all n^k keys: -1 absent, -2 new this round."""
+
+    def __init__(self, alg: Algebra, k: int):
+        super().__init__(alg, k)
+        self.pos = np.full(alg.size**k, -1, dtype=np.int64)
+
+    def first_new(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The keys neither stored nor new, each once, and the index of its
+        first occurrence, in the order of those indices."""
+        at = (self.pos[keys] == -1).nonzero()[0]
+        if at.size > 1:
+            # the positions of absent keys serve as scratch: the least index
+            # of each key, found without sorting (4-5x faster than np.unique
+            # on 5000-16384 keys)
+            new = keys[at]
+            self.pos[new] = len(keys)  # above every index
+            np.minimum.at(self.pos, new, at)
+            at = at[self.pos[new] == at]
+            self.pos[new] = -1
+        return keys[at], at
+
+    def hold(self, keys: np.ndarray) -> None:
+        self.pos[keys] = -2
+
+    def commit(self, keys: np.ndarray, positions: np.ndarray) -> None:
+        self.pos[keys] = positions
+
+    def lookup(self, key) -> int | None:
+        p = int(self.pos[key])
+        return p if p >= 0 else None
+
+
+def _push(runs: list, keys: np.ndarray, positions: np.ndarray | None) -> None:
+    """Append a sorted run, then merge the last two runs while the older is
+    at most twice as long, so a closure of N rows keeps O(log N) runs."""
+    runs.append((keys, positions))
+    while len(runs) > 1 and len(runs[-2][0]) <= 2 * len(runs[-1][0]):
+        (k1, p1), (k2, p2) = runs.pop(-2), runs.pop()
+        merged = np.concatenate([k1, k2])
+        order = np.argsort(merged, kind="stable")
+        runs.append((merged[order], None if p1 is None else np.concatenate([p1, p2])[order]))
+
+
+class _RunKeys(_RowKeys):
+    """Sorted runs of the stored rows' keys with their positions, and sorted
+    runs of the keys new in the current round."""
+
+    def __init__(self, alg: Algebra, k: int):
+        super().__init__(alg, k)
+        self.runs: list = []
+        self.held: list = []
+
+    def first_new(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The keys neither stored nor new, each once, and the index of its
+        first occurrence, in the order of those indices."""
+        # the runs go from the oldest and longest to the newest, so most
+        # keys of a chunk are found, and dropped, in the first runs
+        at = np.arange(len(keys))
+        for run, _ in self.runs + self.held:
+            if not at.size:
+                break
+            probe = keys[at]
+            i = np.minimum(np.searchsorted(run, probe), len(run) - 1)
+            at = at[run[i] != probe]
+        if at.size > 1:
+            at = np.sort(at[np.unique(keys[at], return_index=True)[1]])
+        return keys[at], at
+
+    def hold(self, keys: np.ndarray) -> None:
+        _push(self.held, np.sort(keys), None)
+
+    def commit(self, keys: np.ndarray, positions: np.ndarray) -> None:
+        order = np.argsort(keys, kind="stable")
+        self.held = []
+        _push(self.runs, keys[order], positions[order])
+
+    def lookup(self, key) -> int | None:
+        for run, pos in self.runs:
+            i = int(np.searchsorted(run, key))
+            if i < len(run) and run[i] == key:
+                return int(pos[i])
+        return None
+
+
+def _unravel(ranges: list[tuple[int, int]], t: np.ndarray) -> list[np.ndarray]:
+    """Argument indices of the tuples numbered ``t``, in row-major order, of
+    the cartesian product of index ranges."""
+    idx = []
+    for lo, hi in reversed(ranges[1:]):
+        t, i = np.divmod(t, hi - lo)
+        idx.append(i + lo)
+    if ranges:
+        idx.append(t + ranges[0][0])  # t < the first range's size: no division
+    return idx[::-1]
+
+
+def _round_chunks(alg: Algebra, count: int, frontier_lo: int):
+    """(op index, argument ranges, start, stop, unit end) of each streamed
+    chunk of the round whose frontier is rows frontier_lo..count-1, in
+    streaming order.  ``_CHUNK`` divides ``_WORK_UNIT``, so each work unit
+    of a block is a run of whole chunks; the last one has unit end set."""
+    for op_i, op in enumerate(alg.ops):
+        r = op.arity
+        for first_new in range(r):
+            ranges = (
+                [(0, frontier_lo)] * first_new
+                + [(frontier_lo, count)]
+                + [(0, count)] * (r - first_new - 1)
+            )
+            total = math.prod(hi - lo for lo, hi in ranges)
+            for start in range(0, total, _CHUNK):
+                stop = min(start + _CHUNK, total)
+                yield op_i, ranges, start, stop, stop % _WORK_UNIT == 0 or stop == total
+
+
+def _products(
+    rk: _RowKeys, cols: np.ndarray, op_i: int, ranges: list[tuple[int, int]], start: int, stop: int
+) -> np.ndarray:
+    """Block codes, (nb, stop - start) uint8, of the products of argument
+    tuples start..stop-1, in row-major order, of the index ranges; ``cols[j]``
+    holds block j's code of every stored row.
+
+    The argument prefixes of the chunk are broadcast against the whole last
+    range, and the chunk is cut from that slab; the last range is the
+    frontier or all rows, so at most two partial rows of the slab are
+    computed and not kept.
+    """
+    lo, hi = ranges[-1]
+    m = stop - start
+    prefix = len(ranges) > 1
+    if prefix:
+        width = hi - lo
+        first = start // width
+        args = _unravel(ranges[:-1], np.arange(first, (stop - 1) // width + 1))
+        skip = start - first * width
+    # blocks are evaluated together while their slabs stay within one chunk:
+    # many narrow slabs of wide rows cost one numpy call, not one per block
+    per = max(1, _CHUNK // (len(args[0]) * width if prefix else m))
+    out = []
+    for blocks, _, _, size, tables, _ in rk.groups:
+        for j in range(blocks.start, blocks.stop, per):
+            part = cols[j : min(j + per, blocks.stop)]
+            if prefix:
+                pre = part[:, args[0]].astype(np.intp)
+                for a in args[1:]:
+                    pre = pre * size + part[:, a]
+                idx = (pre[:, :, None] * size + part[:, None, lo:hi]).reshape(len(part), -1)
+                idx = idx[:, skip : skip + m]
+            else:
+                idx = part[:, lo + start : lo + stop]
+            out.append(tables[op_i][idx])
+    return out[0] if len(out) == 1 else np.concatenate(out)
+
+
+def _derivations(op_i: int, ranges: list[tuple[int, int]], at: np.ndarray) -> list[tuple]:
+    """Derivations ``(op_i, argument indices)`` of the argument tuples numbered
+    ``at`` in the streaming order of the ranges."""
+    args = _unravel(ranges, at)
+    return [(op_i, t) for t in zip(*(a.tolist() for a in args))]
 
 
 def _first_product(
@@ -168,8 +433,11 @@ def _first_product(
             )
             last_lo = ranges[-1][0]
             bits = np.packbits(ok[:, :, last_lo:], axis=2, bitorder="little")
+            total = math.prod(hi - lo for lo, hi in ranges[:-1])
             # at most _CHUNK bytes of bits per coordinate at a time
-            for arg_idx in _stream_blocks(ranges[:-1], max(1, _CHUNK // bits.shape[2])):
+            per = max(1, _CHUNK // bits.shape[2])
+            for start in range(0, total, per):
+                arg_idx = _unravel(ranges[:-1], np.arange(start, min(start + per, total)))
                 if arg_idx:
                     prefix = flat_index((rows[idx] for idx in arg_idx), n)
                 else:  # unary operation: the empty prefix
@@ -206,68 +474,76 @@ def _closure(
     """Shared closure loop.
 
     Stops when the closure is complete, the budget is exhausted (CAPPED),
-    at the round that produces the target element (found by
-    ``_first_product`` before the round is streamed, and appended alone,
-    with its derivation, as the last row, if the element cap leaves room
-    for it), or, with ``row_predicate``, as soon as any produced row
-    satisfies the predicate (that row is returned as ``hit_row`` without
-    being appended).  Early stops report CAPPED: only a naturally finished
-    run may claim the set is closed.  The target's derivation and parents
-    are those the finished round would have kept, so a term extracted for
-    it does not depend on where the run stopped.
+    at the round that produces the target element (appended alone, with its
+    derivation, as the last row, if the element cap leaves room for it), or,
+    with ``row_predicate``, as soon as any produced row of a chunk satisfies
+    the predicate (that row is returned as ``hit_row`` without being
+    appended).  Early stops report CAPPED: only a naturally finished run may
+    claim the set is closed.  The target's derivation and parents are those
+    the finished round would have kept, so a term extracted for it does not
+    depend on where the run stopped.
+
+    A target search scans a round of fewer than ``_SCAN_ROUND`` argument
+    tuples and looks a larger one up with ``_first_product`` first; either
+    way the target's round is decided before any cap in it applies (see
+    the module docstring).  The predicate sees every chunk before its
+    deduplication, up to the end of the ``max_work`` unit in which a cap
+    stops the run, so where it hits does not depend on the chunk size.
     """
     n = alg.size
+    rk = _DenseKeys(alg, k) if n**k <= _DENSE_KEYS else _RunKeys(alg, k)
+    nb = rk.nb
     cap = budget.max_elements
     work_cap = budget.max_work
     work = 0
     capacity = 1024
     rows = np.empty((capacity, k), dtype=np.uint8)
-    index: dict[bytes, int] = {}
-    known: set[bytes] = set()
+    cols = np.empty((nb, capacity), dtype=np.uint8)
     derivs: list | None = [] if want_derivations else None
     count = 0
-    void_dt = np.dtype((np.void, k))
-    known_add = known.add
 
-    def grow(need: int):
-        nonlocal rows, capacity
-        if need <= capacity:
-            return
-        while capacity < need:
-            capacity *= 2
-        bigger = np.empty((capacity, k), dtype=np.uint8)
-        bigger[:count] = rows[:count]
-        rows = bigger
-
-    def append(batch: np.ndarray, batch_derivs) -> None:
-        nonlocal count
-        grow(count + len(batch))
-        rows[count : count + len(batch)] = batch
-        for j in range(len(batch)):
-            index[batch[j].tobytes()] = count + j
+    def append(batch: np.ndarray, blocks: np.ndarray, keys: np.ndarray, batch_derivs) -> None:
+        nonlocal rows, cols, capacity, count
+        m = blocks.shape[1]
+        if count + m > capacity:
+            while capacity < count + m:
+                capacity *= 2
+            rows = np.concatenate([rows[:count], np.empty((capacity - count, k), np.uint8)])
+            cols = np.concatenate([cols[:, :count], np.empty((nb, capacity - count), np.uint8)], 1)
+        rows[count : count + m] = batch
+        cols[:, count : count + m] = blocks
+        rk.commit(keys, np.arange(count, count + m))
         if derivs is not None:
             derivs.extend(batch_derivs)
-        count += len(batch)
+        count += m
+
+    def append_target(hit: list) -> None:
+        blocks = rk.encode(target[None, :])
+        append(target[None, :], blocks, rk.keys(blocks), hit)
 
     def finish(status, hit_row=None):
-        return _ClosureResult(rows[:count], index, derivs, status, hit_row)
+        return _ClosureResult(rows[:count], rk, derivs, status, hit_row)
 
     # seed with generators, first occurrence wins, given order kept
-    uniq: list[np.ndarray] = []
-    for g in gen_rows:
-        key = g.tobytes()
-        if key not in known:
-            known_add(key)
-            uniq.append(g)
-    append(np.asarray(uniq, dtype=np.uint8).reshape(len(uniq), k), [None] * len(uniq))
+    gen_blocks = rk.encode(gen_rows)
+    gen_keys = rk.keys(gen_blocks)
+    seen: dict = {}
+    for i, key in enumerate(gen_keys.tolist()):
+        seen.setdefault(key, i)
+    first = list(seen.values())
+    if len(first) < len(gen_rows):
+        gen_rows, gen_blocks, gen_keys = gen_rows[first], gen_blocks[:, first], gen_keys[first]
+    append(gen_rows, gen_blocks, gen_keys, [None] * len(first))
 
     if row_predicate is not None:
         mask = row_predicate(rows[:count])
         if mask.any():
             j = int(np.argmax(mask))
             return finish(CAPPED, hit_row=rows[j].copy())
-    if target is not None and target.tobytes() in index:
-        return finish(CAPPED)
+    if target is not None:
+        target_key = rk.key(target)
+        if rk.lookup(target_key) is not None:
+            return finish(CAPPED)
 
     frontier_lo = 0
     rounds = 0
@@ -275,64 +551,66 @@ def _closure(
         rounds += 1
         if budget.max_rounds is not None and rounds > budget.max_rounds:
             return finish(CAPPED)
-        if target is not None:
+        scan = target is not None and (
+            sum(count**op.arity - frontier_lo**op.arity for op in alg.ops) < _SCAN_ROUND
+        )
+        if target is not None and not scan:
             hit = _first_product(alg, rows[:count], frontier_lo, target)
             if hit is not None:
                 if count < cap:
-                    append(target[None, :], [hit])
+                    append_target([hit])
                 return finish(CAPPED)
-        new_rows: list[np.ndarray] = []
-        new_derivs: list[tuple] = []
-        overflow = False
-        for op_i, op in enumerate(alg.ops):
-            r = op.arity
-            table = op.values
-            for first_new in range(r):
-                ranges = (
-                    [(0, frontier_lo)] * first_new
-                    + [(frontier_lo, count)]
-                    + [(0, count)] * (r - first_new - 1)
-                )
-                for arg_idx in _stream_blocks(ranges, _CHUNK):
-                    work += len(arg_idx[0])
-                    out = table[flat_index((rows[idx] for idx in arg_idx), n)]
-                    if row_predicate is not None:
-                        mask = row_predicate(out)
-                        if mask.any():
-                            j = int(np.argmax(mask))
-                            return finish(CAPPED, hit_row=out[j].copy())
-                    keys = np.ascontiguousarray(out).view(void_dt).ravel().tolist()
-                    if known.issuperset(keys):
-                        if work_cap is not None and work > work_cap:
-                            overflow = True
-                            break
-                        continue
-                    for j, key in enumerate(keys):
-                        if key in known:
-                            continue
-                        if count + len(new_rows) >= cap:
-                            overflow = True
-                            break
-                        known_add(key)
-                        new_rows.append(out[j].copy())
-                        if want_derivations:
-                            new_derivs.append((op_i, tuple(int(idx[j]) for idx in arg_idx)))
-                    if overflow or (work_cap is not None and work > work_cap):
-                        overflow = True
-                        break
-                if overflow:
+        room = max(cap - count, 0)
+        found: list[tuple] = []  # (keys, block codes, derivations) of new rows, by chunk
+        stopped = False
+        for op_i, ranges, start, stop, unit_end in _round_chunks(alg, count, frontier_lo):
+            blocks = _products(rk, cols, op_i, ranges, start, stop)
+            if row_predicate is not None:
+                mask = row_predicate(rk.digits(blocks))
+                if mask.any():
+                    j = int(np.argmax(mask))
+                    return finish(CAPPED, hit_row=rk.digits(blocks[:, j : j + 1])[0])
+            if stopped and not scan:
+                # the predicate sees the rest of the work unit in which a cap stopped the run
+                if unit_end:
                     break
-            if overflow:
+                continue
+            new, at = rk.first_new(rk.keys(blocks))
+            if scan and len(new):  # the target is new: its first occurrence is known
+                hit = (new == target_key).nonzero()[0]
+                if hit.size:
+                    if count < cap:
+                        append_target(_derivations(op_i, ranges, start + at[hit[:1]]))
+                    return finish(CAPPED)
+            if stopped:
+                continue  # a scanned round that a cap stopped: the target test only
+            work += stop - start
+            if len(new) > room:
+                new, at = new[:room], at[:room]
+                stopped = True
+            if len(new):
+                room -= len(new)
+                rk.hold(new)
+                new_derivs = _derivations(op_i, ranges, start + at) if derivs is not None else ()
+                found.append((new, blocks[:, at], new_derivs))
+            if unit_end and work_cap is not None and work > work_cap:
+                stopped = True
+            if stopped and not scan and (unit_end or row_predicate is None):
                 break
-        if new_rows:
-            batch = np.asarray(new_rows, dtype=np.uint8)
-            order = np.lexsort(batch.T[::-1])
+        if found:
+            keys = np.concatenate([f[0] for f in found])
+            order = np.argsort(keys)
+            keys = keys[order]
+            blocks = np.concatenate([f[1] for f in found], axis=1)[:, order]
+            new_derivs = [d for f in found for d in f[2]]
+            if derivs is not None:
+                new_derivs = [new_derivs[q] for q in order.tolist()]
             prev = count
-            append(batch[order], [new_derivs[q] for q in order] if want_derivations else ())
+            append(rk.digits(blocks), blocks, keys, new_derivs)
             frontier_lo = prev
         else:
             frontier_lo = count
-        if overflow:
+        if stopped:
             return finish(CAPPED)
     return finish(COMPLETE)
 
@@ -353,6 +631,8 @@ def generate_subuniverse(
     for it is the one the full closure gives.  Status COMPLETE with a target
     means the whole closure lacks it.
     """
+    if k < 1:
+        raise AlgebraError("generate_subuniverse: power must be positive")
     if not gens:
         raise AlgebraError("generate_subuniverse: no generators")
     gen_rows = np.asarray(gens, dtype=np.int64)
@@ -361,11 +641,14 @@ def generate_subuniverse(
     if gen_rows.min() < 0 or gen_rows.max() >= alg.size:
         raise AlgebraError("generator entry out of range")
     if target is not None:
-        if len(target) != k:
+        target = np.asarray(target, dtype=np.int64)
+        if target.shape != (k,):
             raise AlgebraError(f"target must have length {k}")
-        target = np.asarray(target, dtype=np.uint8)
+        if target.min() < 0 or target.max() >= alg.size:
+            raise AlgebraError("target entry out of range")
+        target = target.astype(np.uint8)
     res = _closure(alg, k, gen_rows.astype(np.uint8), budget, derivations, target=target)
-    gen_tuples = [tuple(int(v) for v in g) for g in gen_rows]
+    gen_tuples = [tuple(g) for g in gen_rows.tolist()]
     return SubUniverse(alg, k, gen_tuples, res.rows, res.index, res.derivations, res.status)
 
 
@@ -392,11 +675,11 @@ def extract_term(su: SubUniverse, element: int) -> TermExpr:
         raise AlgebraError("subuniverse was built without derivations")
     if not 0 <= element < len(su):
         raise AlgebraError(f"element index {element} out of range")
-    gen_index: dict[int, int] = {}
+    first: dict[tuple[int, ...], int] = {}
     for pos, g in enumerate(su.generators):
-        i = su.find(g)
-        if i is not None and i not in gen_index:
-            gen_index[i] = pos
+        first.setdefault(g, pos)
+    # the closure stores the distinct generators first, in order of first occurrence
+    gen_index = dict(enumerate(first.values()))
 
     memo: dict[int, TermExpr] = {}
 

@@ -8,6 +8,7 @@ from algraph.core import (
     OpTable,
     ParseError,
     Var,
+    argument_grids,
     evaluate_term,
     parse_algebra,
     product_algebra,
@@ -163,3 +164,18 @@ def test_sub_and_quotient_commute_with_evaluation(algs):
     for x in range(3):
         for y in range(3):
             assert q.ops[0](bmap[x], bmap[y]) == bmap[alg.ops[0](x, y)]
+
+
+def test_power_tables_are_the_power_algebra(algs):
+    """The operations of A^w on flat codes are those of the direct power."""
+    for alg in algs.values():
+        for w in range(1, 4):
+            if alg.size**w > 255:
+                continue
+            tables, digits = alg.power_tables(w)
+            power = product_algebra([alg] * w)
+            for table, op in zip(tables, power.ops):
+                assert np.array_equal(table, op.values)
+            assert np.array_equal(digits, argument_grids(alg.size, w))
+    with pytest.raises(AlgebraError, match="fit a byte"):
+        algs["Z3A"].power_tables(6)

@@ -1,13 +1,18 @@
+import hashlib
 import itertools
-import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import algraph.subpower as subpower
 from algraph.core import UNKNOWN, Algebra, AlgebraError, OpTable, Var, evaluate_term, evaluate_term_columns
 from algraph.subpower import (
     DEFAULT_BUDGET,
     ClosureBudget,
+    closure_search,
     extract_term,
     find_term,
     generate_subuniverse,
@@ -102,18 +107,14 @@ def test_target_search_streams_only_earlier_rounds(monkeypatch):
     """A target search streams the rounds before the target's round and none
     of that round, so its work does not depend on where the labelling puts
     the target in the round's order."""
-    import algraph.subpower as subpower
-
     streamed = [0]
-    blocks = subpower._stream_blocks
+    products = subpower._products
 
-    def counting(ranges, chunk):
-        for arg_idx in blocks(ranges, chunk):
-            if len(ranges) == 2:  # the closure's own pairs, not the target look-up
-                streamed[0] += len(arg_idx[0])
-            yield arg_idx
+    def counting(rk, cols, op_i, ranges, start, stop):
+        streamed[0] += stop - start  # the closure's own chunks; the look-up streams none
+        return products(rk, cols, op_i, ranges, start, stop)
 
-    monkeypatch.setattr(subpower, "_stream_blocks", counting)
+    monkeypatch.setattr(subpower, "_products", counting)
 
     def run(perm, **kw):
         table = [0] * 16
@@ -193,28 +194,46 @@ def test_monotone_in_generators(algs):
     assert small.as_set() <= big.as_set()
 
 
-def test_oracle_equivalence_randomized():
-    rng = random.Random(20240817)
-    for _ in range(200):
-        n = rng.randint(2, 3)
-        k = rng.randint(1, 3)
-        ops = []
-        for i in range(rng.randint(1, 2)):
-            ar = rng.randint(1, 3)
-            vals = [rng.randrange(n) for _ in range(n**ar)]
-            for x in range(n):
-                idx = 0
-                for _ in range(ar):
-                    idx = idx * n + x
-                vals[idx] = x
-            ops.append(OpTable(f"f{i}", ar, n, vals))
-        alg = Algebra("rnd", n, ops)
-        gens = [
-            tuple(rng.randrange(n) for _ in range(k))
-            for _ in range(rng.randint(1, 3))
-        ]
-        su = generate_subuniverse(alg, k, gens)
-        assert su.status == "complete"
+def _random_algebra(data, n: int) -> Algebra:
+    ops = []
+    for i in range(data.draw(st.integers(1, 2))):
+        ar = data.draw(st.integers(1, 3 if n <= 4 else 2))
+        vals = data.draw(st.lists(st.integers(0, n - 1), min_size=n**ar, max_size=n**ar))
+        for x in range(n):
+            vals[sum(x * n**j for j in range(ar))] = x  # idempotent
+        ops.append(OpTable(f"f{i}", ar, n, vals))
+    return Algebra("rnd", n, ops)
+
+
+def _closure_bytes(alg, k, gens, **kw):
+    su = generate_subuniverse(alg, k, gens, **kw)
+    return su, (su.rows.tobytes(), su.derivations, su.status)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_oracle_equivalence_randomized(data):
+    """The key backends and the chunk size change no byte of a closure, and a
+    complete one equals the brute-force fixpoint; rows too wide for an int64
+    key too."""
+    if data.draw(st.integers(0, 2)):
+        n, k = data.draw(st.integers(2, 5)), data.draw(st.integers(1, 6))
+    else:
+        n, k = 3, data.draw(st.integers(40, 48))
+    alg = _random_algebra(data, n)
+    row = st.tuples(*[st.integers(0, n - 1)] * k)
+    gens = data.draw(st.lists(row, min_size=1, max_size=3))
+    caps = [ClosureBudget(max_elements=400), ClosureBudget(max_elements=7), ClosureBudget(max_work=50)]
+    budget = data.draw(st.sampled_from(caps))
+    target = data.draw(st.none() | row)
+    # the dense backend where it fits, against sorted runs streamed in small chunks
+    with mock.patch.object(subpower, "_DENSE_KEYS", n**k if n**k <= 1 << 20 else 0):
+        su, got = _closure_bytes(alg, k, gens, budget=budget, target=target)
+    with mock.patch.multiple(subpower, _DENSE_KEYS=0, _CHUNK=16):
+        _, other = _closure_bytes(alg, k, gens, budget=budget, target=target)
+    assert got == other
+    arity = max(op.arity for op in alg.ops)
+    if su.is_complete() and target is None and len(su) ** arity * k <= 20_000:
         assert su.as_set() == naive_close(alg, k, gens)
 
 
@@ -223,3 +242,126 @@ def test_budget_validation():
         ClosureBudget(max_elements=0)
     with pytest.raises(AlgebraError):
         ClosureBudget(max_rounds=0)
+
+
+def test_out_of_range_target_is_an_error(algs):
+    z3a = algs["Z3A"]
+    gens = [(0, 1), (1, 0)]
+    for bad in ((0, 3), (-1, 0), (256, 0)):
+        with pytest.raises(AlgebraError, match="target entry out of range"):
+            generate_subuniverse(z3a, 2, gens, target=bad)
+        with pytest.raises(AlgebraError, match="target entry out of range"):
+            find_term(z3a, 2, gens, bad, DEFAULT_BUDGET)
+
+
+def test_find_is_none_outside_the_power(algs):
+    """A row's key is its flat index, so (0, 3) would alias (1, 0): find must
+    refuse every tuple outside A^k before it codes it."""
+    su = generate_subuniverse(algs["Z3A"], 2, [(0, 1), (1, 0)])
+    assert su.find((1, 0)) == 1
+    for outside in ((0, 3), (-1, 0), (256, 0), (1,), (1, 0, 0)):
+        assert su.find(outside) is None
+    wide = generate_subuniverse(algs["Z3A"], 45, [(0, 1, 2) * 15])
+    assert wide.find((0, 1, 2) * 15) == 0 and wide.find((0, 1, 3) * 15) is None
+
+
+def _battery_patterns(a, b):
+    return (
+        ([(a, b), (b, a)], (b, b)),
+        ([(a, b, b), (b, a, b), (b, b, a)], (b, b, b)),
+        ([(a, b, b, b, a, a), (b, a, b, a, b, a), (b, b, a, a, a, b)], (b, b, b, a, a, a)),
+    )
+
+
+_BATTERY_CAPS = (
+    ClosureBudget(),
+    ClosureBudget(max_elements=5),
+    ClosureBudget(max_elements=200),
+    ClosureBudget(max_work=30),
+    ClosureBudget(max_work=150_000),
+    ClosureBudget(max_rounds=1),
+    ClosureBudget(max_rounds=3),
+)
+
+
+def _battery(algs):
+    """Every fixture and B4, on two pairs, with the 2-, 3- and 6-coordinate
+    generator patterns of the witness searches, under each cap."""
+    for alg in [*algs.values(), Algebra("B4", 4, [OpTable("f", 2, 4, B4_TABLE)])]:
+        pairs = [(0, 1)] if alg.size == 2 else [(0, 1), (alg.size - 1, 0)]
+        for (a, b), budget in itertools.product(pairs, _BATTERY_CAPS):
+            for gens, target in _battery_patterns(a, b):
+                yield alg, gens, target, budget
+
+
+def _battery_digests(algs):
+    closures, searches = hashlib.sha256(), hashlib.sha256()
+    for alg, gens, target, budget in _battery(algs):
+        k = len(gens[0])
+        for t in (None, target):
+            su = generate_subuniverse(alg, k, gens, budget=budget, target=t)
+            closures.update(repr((alg.name, gens, budget, t, su.status, su.derivations)).encode())
+            closures.update(np.ascontiguousarray(su.rows).tobytes())
+        tgt = np.array(target, dtype=np.uint8)
+        for pred in (
+            lambda rows: (rows == tgt).all(axis=1),
+            lambda rows: (rows == rows[:, :1]).all(axis=1) & (rows[:, 0] == tgt[0]),
+        ):
+            hit, status = closure_search(alg, k, gens, pred, budget)
+            hit = None if hit is None else hit.tolist()
+            searches.update(repr((alg.name, gens, budget, hit, status)).encode())
+    return closures.hexdigest(), searches.hexdigest()
+
+
+# Taken from the engine that keyed rows by bytes in a Python set, before the
+# integer-coded closure.
+_BATTERY_PIN = (
+    "4240194a3cb8f8f4bf9e0164440c86e036530623467a09a52fa92e0fa7d64e70",
+    "c2e93e8d6b273e37733c767345c91e351195fa7d97420115cd8a39cc3639c09d",
+)
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        {},
+        {"_SCAN_ROUND": 0},  # look every target up
+        {"_SCAN_ROUND": 1 << 62},  # scan every round
+        {"_DENSE_KEYS": 0},  # sorted runs for every key
+        {"_CHUNK": 1 << 11},  # 64 chunks to a max_work unit
+    ],
+    ids=["default", "lookup", "scan", "runs", "small-chunks"],
+)
+def test_closure_battery_pinned(algs, monkeypatch, setting):
+    """Rows, derivations and status of a fixed battery of closures and
+    closure searches, with and without a target and under every cap, hash
+    to the pin, whichever key backend, chunk size or target rule runs."""
+    for name, value in setting.items():
+        monkeypatch.setattr(subpower, name, value)
+    assert _battery_digests(algs) == _BATTERY_PIN
+
+
+# An idempotent binary algebra on {0,1,2}: the first round of
+# Sg((0,1,2), (1,2,0)) produces (2,1,2) from arguments (0, 1), then (2,2,1)
+# from (1, 0); (1,1,2) first appears in the second round.
+R3_TABLE = (0, 2, 1, 2, 1, 1, 2, 2, 2)
+
+
+def test_scanned_round_answers_as_lookup(monkeypatch):
+    """A target search finds the target in its round even when a cap would
+    cut that round before it, and answers UNKNOWN when a cap cut an earlier
+    round, whether the round is scanned or looked up."""
+    monkeypatch.setattr(subpower, "_WORK_UNIT", 2)  # max_work checked every 2 tuples
+    monkeypatch.setattr(subpower, "_CHUNK", 1)
+    alg = Algebra("R3", 3, [OpTable("f", 2, 3, R3_TABLE)])
+    gens = [(0, 1, 2), (1, 2, 0)]
+    tight = (ClosureBudget(max_elements=3), ClosureBudget(max_work=1))
+    for budget in tight:
+        assert generate_subuniverse(alg, 3, gens, budget=budget).find((2, 2, 1)) is None
+    for scan_round in (0, 1 << 62):
+        monkeypatch.setattr(subpower, "_SCAN_ROUND", scan_round)
+        for budget in tight:
+            su = generate_subuniverse(alg, 3, gens, budget=budget, target=(2, 2, 1))
+            assert member_with_witness(su, (2, 2, 1)) == (True, 2)
+            assert su.derivations[-1] == (0, (1, 0))
+            assert find_term(alg, 3, gens, (1, 1, 2), budget) is UNKNOWN
