@@ -38,14 +38,18 @@ depend on the current one.  A round of fewer than ``_SCAN_ROUND`` argument
 tuples is scanned: the target test is folded into each chunk's
 deduplication (the target is not stored, so its first occurrence in a chunk
 is that of a new key), and after a cap stops the round its remaining chunks
-are still tested.  Small rounds are the common case, where a look-up would
-cost more than the round.  A larger round is first searched by
-``_first_product``, which costs a small part of the round, so the cost of a
-search does not depend on where in the round's order, which follows the
-labelling of the algebra, the target lies.  Both rules are exact and agree:
-each finds the target's first occurrence in the round's streaming order,
-ignores the caps within that round, and drops the round's other new rows,
-so they give the same rows, derivations and status.
+are still tested.  A larger round is first searched by ``_first_product``,
+which costs a small part of the round, so the cost of a search does not
+depend on where in the round's order, which follows the labelling of the
+algebra, the target lies.  The look-up is wasted on every round that lacks
+the target, since that round is streamed anyway, and pays only on the
+target's round; the bound is where the two balance on the target searches
+of the benchmark's workloads, whose total time is flat for bounds from
+2^12 to 2^16 and grows above them.  So a search's dependence on the
+labelling is at most one round of fewer than 2^14 tuples.  Both rules are
+exact and agree: each finds the target's first occurrence in the round's
+streaming order, ignores the caps within that round, and drops the round's
+other new rows, so they give the same rows, derivations and status.
 
 ``find_term`` is the package's one witness search: membership of a target
 tuple, answered by a re-verified term, None, or UNKNOWN under a cap.
@@ -78,7 +82,9 @@ _CHUNK = 1 << 14  # argument tuples per streamed chunk
 _WORK_UNIT = 1 << 17  # max_work is checked at the end of each unit of a block
 _DENSE_KEYS = 1 << 16  # largest n^k held in a dense position array
 _TABLE_ENTRIES = 1 << 16  # largest block-coded operation table
-_SCAN_ROUND = 1 << 17  # rounds with fewer argument tuples are scanned for a target
+_SCAN_ROUND = 1 << 14  # rounds with fewer argument tuples are scanned for a target
+_SLAB = 1 << 17  # bytes of bit rows per coordinate in one step of a target look-up
+_SHORT_KEYS = 512  # chunks keyed by one matrix product below this length
 
 COMPLETE = "complete"
 CAPPED = "capped"
@@ -93,14 +99,14 @@ class ClosureBudget:
     does not.  It is checked at the end of each unit of ``_WORK_UNIT``
     argument tuples of an (operation, first frontier argument) block, and at
     the block's end, so a run stops at the end of the unit in which its work
-    passes the cap, with that unit's new rows kept.  A unit is streamed as
-    whole chunks of ``_CHUNK`` tuples; the check points, and so every capped
-    answer, do not depend on the chunk size.  ``max_elements`` stops a run at
-    the first new row, in streaming order, that finds no room.  A target
-    search's look-up of the target in a round evaluates prefixes, not
-    argument tuples, and is not counted; neither is a scanned round's test
-    for the target after a cap stopped it.  All three caps are
-    deterministic.
+    passes the cap, with that unit's new rows kept.  A unit is streamed in
+    chunks of at most ``_CHUNK`` tuples that stop at its end; the check
+    points, and so every capped answer, do not depend on the chunk size.
+    ``max_elements`` stops a run at the first new row, in streaming order,
+    that finds no room.  A target search's look-up of the target in a round
+    evaluates prefixes, not argument tuples, and is not counted; neither is
+    a scanned round's test for the target after a cap stopped it.  All three
+    caps are deterministic.
     """
 
     max_elements: int = DEFAULT_MAX_ELEMENTS
@@ -174,7 +180,11 @@ class _RowKeys:
     group, coded together: ``(blocks, width, coordinates, n**width, tables,
     digits)``, where ``tables`` and ``digits`` are
     ``Algebra.power_tables(width)``.  Keys are int64 flat indices when
-    ``int_keys``, else byte strings.  Subclasses hold the positions.
+    ``int_keys``, else byte strings.  An int key is the weighted sum of its
+    block codes: one matrix product for chunks under ``_SHORT_KEYS`` rows,
+    where numpy's per-call cost dominates, and Horner's rule for longer
+    ones, where the product's int64 conversion costs more.  Subclasses hold
+    the positions.
     """
 
     def __init__(self, alg: Algebra, k: int):
@@ -198,12 +208,20 @@ class _RowKeys:
         ]
         self.int_keys = n**k < 2**63
         self.void = np.dtype((np.void, nb))
+        # the number of codes of each block, and the weights of an int key
+        self.sizes = [size for g, _, _, size, *_ in self.groups for _ in range(g.start, g.stop)]
+        self.weights = np.array(
+            [math.prod(self.sizes[j + 1 :]) for j in range(nb)] if self.int_keys else [], np.int64
+        )
 
     def encode(self, rows: np.ndarray) -> np.ndarray:
         """(nb, m) uint8 block codes of an (m, k) array of rows."""
         m = len(rows)
         out = np.empty((self.nb, m), dtype=np.uint8)
         for blocks, v, coords, *_ in self.groups:
+            if v == 1:
+                out[blocks] = rows[:, coords].T
+                continue
             weights = self.n ** np.arange(v - 1, -1, -1, dtype=np.int64)
             out[blocks] = (rows[:, coords].reshape(m, -1, v) @ weights).T
         return out
@@ -214,6 +232,9 @@ class _RowKeys:
         out = np.empty((self.k, m), dtype=np.uint8)
         for group, v, coords, _, _, digits in self.groups:
             codes = blocks[group]
+            if v == 1:  # a width-1 code is its digit
+                out[coords] = codes
+                continue
             for i in range(v):  # digit i of every block of the group
                 out[coords.start + i : coords.stop : v] = digits[i][codes]
         return out.T
@@ -222,11 +243,12 @@ class _RowKeys:
         """Keys of (nb, m) block codes."""
         if not self.int_keys:
             return np.ascontiguousarray(blocks.T).view(self.void).ravel()
+        if blocks.shape[1] < _SHORT_KEYS:
+            return self.weights @ blocks
         keys = blocks[0].astype(np.int64)
-        for group, _, _, size, _, _ in self.groups:
-            for code in blocks[max(group.start, 1) : group.stop]:  # Horner's rule
-                keys *= size
-                keys += code
+        for code, size in zip(blocks[1:], self.sizes[1:]):  # Horner's rule
+            keys *= size
+            keys += code
         return keys
 
     def key(self, row: Sequence[int]):
@@ -343,8 +365,9 @@ def _unravel(ranges: list[tuple[int, int]], t: np.ndarray) -> list[np.ndarray]:
 def _round_chunks(alg: Algebra, count: int, frontier_lo: int):
     """(op index, argument ranges, start, stop, unit end) of each streamed
     chunk of the round whose frontier is rows frontier_lo..count-1, in
-    streaming order.  ``_CHUNK`` divides ``_WORK_UNIT``, so each work unit
-    of a block is a run of whole chunks; the last one has unit end set."""
+    streaming order.  Each work unit of a block is cut into chunks of at
+    most ``_CHUNK`` tuples, so no chunk crosses a unit's end; the last chunk
+    of a unit has unit end set."""
     for op_i, op in enumerate(alg.ops):
         r = op.arity
         for first_new in range(r):
@@ -353,10 +376,12 @@ def _round_chunks(alg: Algebra, count: int, frontier_lo: int):
                 + [(frontier_lo, count)]
                 + [(0, count)] * (r - first_new - 1)
             )
-            total = math.prod(hi - lo for lo, hi in ranges)
-            for start in range(0, total, _CHUNK):
-                stop = min(start + _CHUNK, total)
-                yield op_i, ranges, start, stop, stop % _WORK_UNIT == 0 or stop == total
+            total = (count - frontier_lo) * frontier_lo**first_new * count ** (r - first_new - 1)
+            for unit in range(0, total, _WORK_UNIT):
+                end = min(unit + _WORK_UNIT, total)
+                for start in range(unit, end, _CHUNK):
+                    stop = min(start + _CHUNK, end)
+                    yield op_i, ranges, start, stop, stop == end
 
 
 def _products(
@@ -434,8 +459,8 @@ def _first_product(
             last_lo = ranges[-1][0]
             bits = np.packbits(ok[:, :, last_lo:], axis=2, bitorder="little")
             total = math.prod(hi - lo for lo, hi in ranges[:-1])
-            # at most _CHUNK bytes of bits per coordinate at a time
-            per = max(1, _CHUNK // bits.shape[2])
+            # at most _SLAB bytes of bits per coordinate at a time
+            per = max(1, _SLAB // bits.shape[2])
             for start in range(0, total, per):
                 arg_idx = _unravel(ranges[:-1], np.arange(start, min(start + per, total)))
                 if arg_idx:

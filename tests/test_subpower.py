@@ -210,29 +210,63 @@ def _closure_bytes(alg, k, gens, **kw):
     return su, (su.rows.tobytes(), su.derivations, su.status)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+def _both_backends(n, k, alg, gens, **kw):
+    """The closure under the dense backend where it fits, after checking it
+    byte for byte against sorted runs streamed in small chunks."""
+    with mock.patch.object(subpower, "_DENSE_KEYS", n**k if n**k <= 1 << 20 else 0):
+        su, got = _closure_bytes(alg, k, gens, **kw)
+    with mock.patch.multiple(subpower, _DENSE_KEYS=0, _CHUNK=61):
+        _, other = _closure_bytes(alg, k, gens, **kw)
+    assert got == other
+    return su
+
+
+# largest product count, (rows of A^d)^arity, of an uncapped closure in the
+# randomized test: small enough for the brute-force oracle
+_ORACLE_PRODUCTS = 1 << 15
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_oracle_equivalence_randomized(data):
-    """The key backends and the chunk size change no byte of a closure, and a
-    complete one equals the brute-force fixpoint; rows too wide for an int64
-    key too."""
+    """The key backends and the chunk size change no byte of a closure, and
+    an uncapped one is complete and equals the brute-force fixpoint; rows
+    too wide for an int64 key too.
+
+    Every example closes generators with at most d distinct coordinates
+    under no cap, so the closure has at most n^d rows, and compares it with
+    the oracle's closure in A^d spread over the k coordinates; it also
+    compares the backends on unrestricted generators under a cap, with or
+    without a target."""
     if data.draw(st.integers(0, 2)):
         n, k = data.draw(st.integers(2, 5)), data.draw(st.integers(1, 6))
     else:
         n, k = 3, data.draw(st.integers(40, 48))
     alg = _random_algebra(data, n)
+    arity = max(op.arity for op in alg.ops)
+
+    d = 1
+    while d < k and n ** ((d + 1) * arity) <= _ORACLE_PRODUCTS:
+        d += 1
+    d = data.draw(st.integers(1, d))
+    spread = data.draw(st.lists(st.integers(0, d - 1), min_size=k, max_size=k))
+    narrow_row = st.tuples(*[st.integers(0, n - 1)] * d)
+    narrow = data.draw(st.lists(narrow_row, min_size=2, max_size=3, unique=True))
+    gens = [tuple(g[c] for c in spread) for g in narrow]
+    su = _both_backends(n, k, alg, gens)
+    assert su.status == "complete"
+    assert su.as_set() == {tuple(g[c] for c in spread) for g in naive_close(alg, d, narrow)}
+
     row = st.tuples(*[st.integers(0, n - 1)] * k)
     gens = data.draw(st.lists(row, min_size=1, max_size=3))
-    caps = [ClosureBudget(max_elements=400), ClosureBudget(max_elements=7), ClosureBudget(max_work=50)]
+    caps = [
+        ClosureBudget(max_elements=400, max_work=100_000),
+        ClosureBudget(max_elements=7),
+        ClosureBudget(max_work=50),
+    ]
     budget = data.draw(st.sampled_from(caps))
     target = data.draw(st.none() | row)
-    # the dense backend where it fits, against sorted runs streamed in small chunks
-    with mock.patch.object(subpower, "_DENSE_KEYS", n**k if n**k <= 1 << 20 else 0):
-        su, got = _closure_bytes(alg, k, gens, budget=budget, target=target)
-    with mock.patch.multiple(subpower, _DENSE_KEYS=0, _CHUNK=16):
-        _, other = _closure_bytes(alg, k, gens, budget=budget, target=target)
-    assert got == other
-    arity = max(op.arity for op in alg.ops)
+    su = _both_backends(n, k, alg, gens, budget=budget, target=target)
     if su.is_complete() and target is None and len(su) ** arity * k <= 20_000:
         assert su.as_set() == naive_close(alg, k, gens)
 
@@ -329,8 +363,14 @@ _BATTERY_PIN = (
         {"_SCAN_ROUND": 1 << 62},  # scan every round
         {"_DENSE_KEYS": 0},  # sorted runs for every key
         {"_CHUNK": 1 << 11},  # 64 chunks to a max_work unit
+        {"_CHUNK": 3001},  # chunks that do not divide a max_work unit
+        {"_SHORT_KEYS": 0},  # every int key by Horner's rule
+        {"_SHORT_KEYS": 1 << 62},  # every int key by one matrix product
     ],
-    ids=["default", "lookup", "scan", "runs", "small-chunks"],
+    ids=[
+        "default", "lookup", "scan", "runs",
+        "small-chunks", "odd-chunks", "horner-keys", "product-keys",
+    ],
 )
 def test_closure_battery_pinned(algs, monkeypatch, setting):
     """Rows, derivations and status of a fixed battery of closures and
