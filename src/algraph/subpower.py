@@ -19,8 +19,8 @@ and otherwise sorted runs of keys, searched with ``searchsorted`` and
 merged when they pile up.
 
 The argument tuples of a round are streamed, in row-major order, in chunks
-of ``_CHUNK`` tuples of each (operation, first frontier argument) block.
-2^13 to 2^15 tuples were fastest on 4-element A^6 closures, and 2^17 about
+of at most ``_CHUNK`` tuples of each (operation, first frontier argument)
+block, cut inside its ``max_work`` units.  2^13 to 2^15 tuples were fastest on 4-element A^6 closures, and 2^17 about
 20 % slower: a chunk's int64 temporaries then outgrow the cache.  A chunk
 is deduplicated at once: the backend drops the keys already stored or new
 in the round and keeps the first occurrence of each remaining one
