@@ -194,15 +194,11 @@ def is_congruence(alg: Algebra, p: Partition) -> bool:
     bid = np.asarray(p.block_id)
     for op in alg.ops:
         for pos in range(op.arity):
-            tm = _translation_matrix(op, pos)
-            tb = bid[tm]
-            for block in p.blocks():
-                if len(block) == 1:
-                    continue
-                ref = tb[:, block[0]]
-                for y in block[1:]:
-                    if not np.array_equal(tb[:, y], ref):
-                        return False
+            tb = bid[_translation_matrix(op, pos)]
+            # block ids are the least member of each block: every column
+            # must equal the column of its block's least member
+            if not (tb == tb[:, bid]).all():
+                return False
     return True
 
 

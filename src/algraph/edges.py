@@ -481,7 +481,8 @@ def has_siggers_term(alg: Algebra, budget: ClosureBudget = DEFAULT_BUDGET):
     Runs the closure of four generators in (AxA)^(n^3), one coordinate per
     argument triple (x,y,z), the two sides of each generator being the two
     argument patterns; a term exists exactly when some closure element is
-    diagonal in every coordinate.  Exits early on the first such element.
+    diagonal in every coordinate.  Stops at the first round that appends
+    such an element.
     """
     n = alg.size
     if n == 1:
@@ -498,10 +499,11 @@ def has_siggers_term(alg: Algebra, budget: ClosureBudget = DEFAULT_BUDGET):
         [enc(y, z) for (x, y, z) in coords],
         [enc(z, y) for (x, y, z) in coords],
     ]
-    diag = np.array([enc(i, i) for i in range(n)], dtype=np.uint8)
+    diagonal = np.zeros(n * n, dtype=bool)
+    diagonal[[enc(i, i) for i in range(n)]] = True
 
     def predicate(rows: np.ndarray) -> np.ndarray:
-        return np.isin(rows, diag).all(axis=1)
+        return diagonal[rows].all(axis=1)
 
     hit, status = closure_search(pair, len(coords), gens, predicate, budget)
     if hit is not None:

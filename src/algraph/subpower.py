@@ -51,6 +51,14 @@ exact and agree: each finds the target's first occurrence in the round's
 streaming order, ignores the caps within that round, and drops the round's
 other new rows, so they give the same rows, derivations and status.
 
+A predicate search (``closure_search``) has one rule: the predicate runs on
+each batch of rows as it is appended, in stored order (first the
+generators, then each round's kept new rows, sorted), and the run stops at
+the first batch that holds a passing row.  Its answer is the first passing
+row of the closure in stored order, or none and the closure's status: what
+filtering the finished closure would give, at the cost of the rounds up to
+the one that holds that row.
+
 ``find_term`` is the package's one witness search: membership of a target
 tuple, answered by a re-verified term, None, or UNKNOWN under a cap.
 """
@@ -476,17 +484,6 @@ def _first_product(
     return None
 
 
-class _ClosureResult:
-    __slots__ = ("rows", "index", "derivations", "status", "hit_row")
-
-    def __init__(self, rows, index, derivations, status, hit_row):
-        self.rows = rows
-        self.index = index
-        self.derivations = derivations
-        self.status = status
-        self.hit_row = hit_row
-
-
 def _closure(
     alg: Algebra,
     k: int,
@@ -495,25 +492,24 @@ def _closure(
     want_derivations: bool,
     target: np.ndarray | None = None,
     row_predicate: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> _ClosureResult:
-    """Shared closure loop.
+) -> tuple:
+    """Shared closure loop: (rows, key index, derivations, status, hit_row).
 
     Stops when the closure is complete, the budget is exhausted (CAPPED),
     at the round that produces the target element (appended alone, with its
     derivation, as the last row, if the element cap leaves room for it), or,
-    with ``row_predicate``, as soon as any produced row of a chunk satisfies
-    the predicate (that row is returned as ``hit_row`` without being
-    appended).  Early stops report CAPPED: only a naturally finished run may
-    claim the set is closed.  The target's derivation and parents are those
-    the finished round would have kept, so a term extracted for it does not
-    depend on where the run stopped.
+    with ``row_predicate``, at the first appended batch of rows (the
+    generators, then each round's kept new rows) that holds a row satisfying
+    the predicate; the first such row in stored order is ``hit_row``.  Early
+    stops report CAPPED: only a naturally finished run may claim the set is
+    closed.  The target's derivation and parents are those the finished
+    round would have kept, so a term extracted for it does not depend on
+    where the run stopped.
 
     A target search scans a round of fewer than ``_SCAN_ROUND`` argument
     tuples and looks a larger one up with ``_first_product`` first; either
     way the target's round is decided before any cap in it applies (see
-    the module docstring).  The predicate sees every chunk before its
-    deduplication, up to the end of the ``max_work`` unit in which a cap
-    stops the run, so where it hits does not depend on the chunk size.
+    the module docstring).
     """
     n = alg.size
     rk = _DenseKeys(alg, k) if n**k <= _DENSE_KEYS else _RunKeys(alg, k)
@@ -547,24 +543,24 @@ def _closure(
         append(target[None, :], blocks, rk.keys(blocks), hit)
 
     def finish(status, hit_row=None):
-        return _ClosureResult(rows[:count], rk, derivs, status, hit_row)
+        return rows[:count], rk, derivs, status, hit_row
+
+    def first_passing(lo: int) -> np.ndarray | None:
+        """The first row from ``lo`` on that satisfies the predicate, or None."""
+        if row_predicate is None:
+            return None
+        mask = row_predicate(rows[lo:count])
+        return rows[lo + int(np.argmax(mask))].copy() if mask.any() else None
 
     # seed with generators, first occurrence wins, given order kept
     gen_blocks = rk.encode(gen_rows)
     gen_keys = rk.keys(gen_blocks)
-    seen: dict = {}
-    for i, key in enumerate(gen_keys.tolist()):
-        seen.setdefault(key, i)
-    first = list(seen.values())
-    if len(first) < len(gen_rows):
-        gen_rows, gen_blocks, gen_keys = gen_rows[first], gen_blocks[:, first], gen_keys[first]
-    append(gen_rows, gen_blocks, gen_keys, [None] * len(first))
+    first = np.sort(np.unique(gen_keys, return_index=True)[1])
+    append(gen_rows[first], gen_blocks[:, first], gen_keys[first], [None] * len(first))
 
-    if row_predicate is not None:
-        mask = row_predicate(rows[:count])
-        if mask.any():
-            j = int(np.argmax(mask))
-            return finish(CAPPED, hit_row=rows[j].copy())
+    hit_row = first_passing(0)
+    if hit_row is not None:
+        return finish(CAPPED, hit_row)
     if target is not None:
         target_key = rk.key(target)
         if rk.lookup(target_key) is not None:
@@ -590,16 +586,6 @@ def _closure(
         stopped = False
         for op_i, ranges, start, stop, unit_end in _round_chunks(alg, count, frontier_lo):
             blocks = _products(rk, cols, op_i, ranges, start, stop)
-            if row_predicate is not None:
-                mask = row_predicate(rk.digits(blocks))
-                if mask.any():
-                    j = int(np.argmax(mask))
-                    return finish(CAPPED, hit_row=rk.digits(blocks[:, j : j + 1])[0])
-            if stopped and not scan:
-                # the predicate sees the rest of the work unit in which a cap stopped the run
-                if unit_end:
-                    break
-                continue
             new, at = rk.first_new(rk.keys(blocks))
             if scan and len(new):  # the target is new: its first occurrence is known
                 hit = (new == target_key).nonzero()[0]
@@ -620,7 +606,7 @@ def _closure(
                 found.append((new, blocks[:, at], new_derivs))
             if unit_end and work_cap is not None and work > work_cap:
                 stopped = True
-            if stopped and not scan and (unit_end or row_predicate is None):
+            if stopped and not scan:
                 break
         if found:
             keys = np.concatenate([f[0] for f in found])
@@ -633,11 +619,32 @@ def _closure(
             prev = count
             append(rk.digits(blocks), blocks, keys, new_derivs)
             frontier_lo = prev
+            hit_row = first_passing(prev)
+            if hit_row is not None:
+                return finish(CAPPED, hit_row)
         else:
             frontier_lo = count
         if stopped:
             return finish(CAPPED)
     return finish(COMPLETE)
+
+
+def _tuples(alg: Algebra, k: int, tuples, what: str) -> np.ndarray:
+    """The tuples as an (m, k) uint8 array; AlgebraError, naming them
+    ``what``, unless they are one or more k-tuples over the universe."""
+    if k < 1:
+        raise AlgebraError("power must be positive")
+    if len(tuples) == 0:
+        raise AlgebraError(f"no {what}s")
+    try:
+        rows = np.asarray(tuples, dtype=np.int64)
+    except ValueError:  # ragged rows
+        rows = np.empty(0)
+    if rows.ndim != 2 or rows.shape[1] != k:
+        raise AlgebraError(f"each {what} must be a tuple of length {k}")
+    if rows.min() < 0 or rows.max() >= alg.size:
+        raise AlgebraError(f"{what} entry out of range")
+    return rows.astype(np.uint8)
 
 
 def generate_subuniverse(
@@ -656,25 +663,12 @@ def generate_subuniverse(
     for it is the one the full closure gives.  Status COMPLETE with a target
     means the whole closure lacks it.
     """
-    if k < 1:
-        raise AlgebraError("generate_subuniverse: power must be positive")
-    if not gens:
-        raise AlgebraError("generate_subuniverse: no generators")
-    gen_rows = np.asarray(gens, dtype=np.int64)
-    if gen_rows.ndim != 2 or gen_rows.shape[1] != k:
-        raise AlgebraError(f"generators must be tuples of length {k}")
-    if gen_rows.min() < 0 or gen_rows.max() >= alg.size:
-        raise AlgebraError("generator entry out of range")
+    gen_rows = _tuples(alg, k, gens, "generator")
     if target is not None:
-        target = np.asarray(target, dtype=np.int64)
-        if target.shape != (k,):
-            raise AlgebraError(f"target must have length {k}")
-        if target.min() < 0 or target.max() >= alg.size:
-            raise AlgebraError("target entry out of range")
-        target = target.astype(np.uint8)
-    res = _closure(alg, k, gen_rows.astype(np.uint8), budget, derivations, target=target)
+        target = _tuples(alg, k, [target], "target")[0]
+    rows, index, derivs, status, _ = _closure(alg, k, gen_rows, budget, derivations, target=target)
     gen_tuples = [tuple(g) for g in gen_rows.tolist()]
-    return SubUniverse(alg, k, gen_tuples, res.rows, res.index, res.derivations, res.status)
+    return SubUniverse(alg, k, gen_tuples, rows, index, derivs, status)
 
 
 def member_with_witness(su: SubUniverse, target: Sequence[int]):
@@ -778,14 +772,18 @@ def closure_search(
     row_predicate: Callable[[np.ndarray], np.ndarray],
     budget: ClosureBudget = DEFAULT_BUDGET,
 ):
-    """Closure with immediate exit on the first row satisfying a predicate.
+    """The first row, in stored order, of the closure of ``gens`` within
+    ``budget`` that satisfies a predicate.
 
-    Returns (hit_row or None, status); when hit_row is not None the answer
-    is definitive regardless of status.  The predicate must map an (m, k)
-    uint8 array to a boolean mask of length m.
+    The predicate maps an (m, k) uint8 array of rows to a boolean mask of
+    length m.  It runs on each batch of rows as it is appended, the
+    generators first and then each round's new rows, and the run stops at
+    the first batch with a passing row.  Returns (hit_row, status):
+    (row, CAPPED) on a hit, which is definitive; otherwise (None, the
+    status of ``generate_subuniverse(alg, k, gens, budget)``).
     """
-    gen_rows = np.asarray(gens, dtype=np.uint8).reshape(len(gens), k)
-    res = _closure(
+    gen_rows = _tuples(alg, k, gens, "generator")
+    _, _, _, status, hit_row = _closure(
         alg, k, gen_rows, budget, want_derivations=False, row_predicate=row_predicate
     )
-    return res.hit_row, res.status
+    return hit_row, status

@@ -16,12 +16,16 @@ candidates, in this order, that meets its row of the matrix:
   ``compose_with_f_sym(g_doubleprime(merge), f)`` of their merge;
 - h: ``g_from_f(f)`` and the affine witnesses.
 
-When every candidate fails, the (capped) binary/ternary term slice is
-filtered against the same row; ``good_f`` searches f and its iterates,
-then the binary slice, the same way.  A failed row raises SynthesisError
-naming the first condition its first candidate fails.  ``synth_unified``
-hands the three tables to ``enforce_identities``, which evaluates the
-whole matrix once and records it as ``UnifiedOps.provenance``.
+Each condition maps an (m, n, ..., n) stack of tables to a mask; a
+candidate is a stack of one.  When every candidate fails, ``closure_search``
+closes the projection columns in A^(n^arity) round by round, tests each
+round's new tables as one stack, and returns the first passing table in
+stored order: the table a filter over the whole term slice would give.
+``good_f`` searches f and its iterates, then the binary term operations,
+the same way.  A failed row raises SynthesisError naming the first
+condition its first candidate fails.  ``synth_unified`` hands the three
+tables to ``enforce_identities``, which evaluates the whole matrix once and
+records it as ``UnifiedOps.provenance``.
 
 Thin edges refine thick ones to ordered pairs of elements with witness
 operations acting on the elements themselves: a <= b when f(a,b)=f(b,a)=b.
@@ -50,6 +54,7 @@ from .core import (
     OpTable,
     TermExpr,
     VerificationError,
+    argument_grids,
     product_algebra,
     product_encode,
     projection,
@@ -66,21 +71,23 @@ from .edges import (
     EdgeInfo,
 )
 from .subpower import (
+    COMPLETE,
     ClosureBudget,
     DEFAULT_BUDGET,
+    closure_search,
     find_term,
     generate_subuniverse,
     member_with_witness,
-    term_slice,
 )
 
 
 class SynthesisError(VerificationError):
     """No operation met the per-edge condition matrix within the budget.
 
-    ``capped`` is set when a term slice searched on the way hit the closure
-    cap: the search was cut short, so the error is inconclusive and must not
-    be reported as a counterexample.
+    ``capped`` is set when the round-wise search of the term operations hit
+    the closure cap before any round held a passing table: the search was
+    cut short, so the error is inconclusive and must not be reported as a
+    counterexample.
     """
 
     def __init__(self, message: str, capped: bool):
@@ -120,98 +127,98 @@ def _blocks(e: EdgeInfo, kind: str) -> tuple[list[int], list[int]]:
     return e.block_of(kind, e.a), e.block_of(kind, e.b)
 
 
-def _values(table: OpTable, *argsets: Sequence[int]) -> set[int]:
-    """The values of ``table`` over the product of the argument sets."""
-    return set(table.table()[np.ix_(*argsets)].ravel().tolist())
+def _stack(table: OpTable) -> np.ndarray:
+    """A table as a stack of one, the form every condition check takes."""
+    return table.table()[None]
 
 
-def cond_f_semilattice(f: OpTable, e: EdgeInfo) -> bool:
+def _block_action(stack: np.ndarray, ablk: list[int], bblk: list[int]) -> np.ndarray:
+    """The action of each table of an (m, n, ..., n) stack on the two blocks,
+    as an (m, 2, ..., 2) array: the entry at a tuple of blocks (0 for
+    ``ablk``, 1 for ``bblk``) is the block that holds every value over their
+    product, or -1 when neither does."""
+    label = np.full(stack.shape[1], -1, dtype=np.int8)
+    label[ablk], label[bblk] = 0, 1
+    both = np.array(ablk + bblk)
+    arity = stack.ndim - 1
+    grid = [both.reshape((-1,) + (1,) * (arity - 1 - j)) for j in range(arity)]
+    # the labelled table on (ablk + bblk)^arity, each axis then cut at the
+    # end of ablk: a product of blocks maps into one block where its least
+    # and greatest labels agree
+    lo = hi = label[stack[(slice(None), *grid)]]
+    for axis in range(1, arity + 1):
+        lo = np.minimum.reduceat(lo, [0, len(ablk)], axis=axis)
+        hi = np.maximum.reduceat(hi, [0, len(ablk)], axis=axis)
+    return np.where(lo == hi, lo, -1)
+
+
+def cond_f_semilattice(stack: np.ndarray, e: EdgeInfo) -> np.ndarray:
     """f collapses the two theta blocks commutatively into one of them."""
-    ablk, bblk = _blocks(e, SEMILATTICE)
-    vals = _values(f, ablk, bblk) | _values(f, bblk, ablk)
-    return vals <= set(ablk) or vals <= set(bblk)
+    act = _block_action(stack, *_blocks(e, SEMILATTICE))
+    return (act[:, 0, 1] >= 0) & (act[:, 0, 1] == act[:, 1, 0])
 
 
-def _cond_proj1(table: OpTable, ablk: list[int], bblk: list[int]) -> bool:
-    """table acts as the first projection on the two-block quotient set."""
-    rest = [ablk + bblk] * (table.arity - 1)
-    return all(_values(table, first, *rest) <= set(first) for first in (ablk, bblk))
+def _cond_proj1(stack: np.ndarray, ablk: list[int], bblk: list[int]) -> np.ndarray:
+    """The table acts as the first projection on the two-block quotient set."""
+    act = _block_action(stack, ablk, bblk)
+    return (act == np.indices(act.shape[1:])[0]).reshape(len(stack), -1).all(axis=1)
 
 
-def cond_g_majority(g: OpTable, e: EdgeInfo) -> bool:
-    ablk, bblk = _blocks(e, MAJORITY)
-    return all(
-        _values(g, *args) <= set(two)
-        for one, two in ((ablk, bblk), (bblk, ablk))
-        for args in ((one, two, two), (two, one, two), (two, two, one))
-    )
+def cond_g_majority(stack: np.ndarray, e: EdgeInfo) -> np.ndarray:
+    """g is the majority operation on the two blocks."""
+    act = _block_action(stack, *_blocks(e, MAJORITY)).reshape(len(stack), 8)
+    # the majority of the block tuples 001, 010, ..., 110; 000 and 111 are free
+    return (act[:, 1:7] == [0, 0, 1, 0, 1, 1]).all(axis=1)
 
 
-def _f_two_block_action(f: OpTable, ablk: list[int], bblk: list[int]):
-    """f's action on the two-block set as a 2x2 block table, or None."""
-    act = {}
-    for x_set, xb in ((ablk, 0), (bblk, 1)):
-        for y_set, yb in ((ablk, 0), (bblk, 1)):
-            vals = _values(f, x_set, y_set)
-            if vals <= set(ablk):
-                act[(xb, yb)] = 0
-            elif vals <= set(bblk):
-                act[(xb, yb)] = 1
-            else:
-                return None
-    return act
-
-
-def cond_sl_composition(table: OpTable, f: OpTable, e: EdgeInfo) -> bool:
+def cond_sl_composition(stack: np.ndarray, f: OpTable, e: EdgeInfo) -> np.ndarray:
     """Ternary table equals x(yz) under f on the two-block quotient set."""
     ablk, bblk = _blocks(e, SEMILATTICE)
-    act = _f_two_block_action(f, ablk, bblk)
-    if act is None:
-        return False
-    blocks = (ablk, bblk)
-    for xb in (0, 1):
-        for yb in (0, 1):
-            for zb in (0, 1):
-                want = act[(xb, act[(yb, zb)])]
-                vals = _values(table, blocks[xb], blocks[yb], blocks[zb])
-                if not vals <= set(blocks[want]):
-                    return False
-    return True
+    fa = _block_action(_stack(f), ablk, bblk)[0]
+    if (fa < 0).any():
+        return np.zeros(len(stack), dtype=bool)
+    x, y, z = np.indices((2, 2, 2))
+    act = _block_action(stack, ablk, bblk)
+    return (act == fa[x, fa[y, z]]).reshape(len(stack), -1).all(axis=1)
 
 
-def cond_h_affine(h: OpTable, e: EdgeInfo) -> bool:
+def cond_h_affine(stack: np.ndarray, e: EdgeInfo) -> np.ndarray:
     """h acts on the whole quotient as the certificate's x-y+z."""
     bid = e.theta[AFFINE].block_id
     reps = sorted(set(bid))
     # quotient label of every element of the carrier, -1 outside it
-    quot = np.full(h.size, -1)
+    quot = np.full(stack.shape[1], -1, dtype=np.int16)
     quot[list(e.carrier)] = [reps.index(r) for r in bid]
     q = quot[list(e.carrier)]
-    vals = quot[h.table()[np.ix_(e.carrier, e.carrier, e.carrier)]]
-    if (vals < 0).any():
-        return False
-    return np.array_equal(vals, e.affine_cert.maltsev.table()[np.ix_(q, q, q)])
+    vals = quot[stack[(slice(None), *np.ix_(e.carrier, e.carrier, e.carrier))]]
+    want = e.affine_cert.maltsev.table()[np.ix_(q, q, q)]
+    return (vals == want).reshape(len(stack), -1).all(axis=1)
 
 
-def _proj1(kind: str):
-    """The first-projection condition on an edge's ``kind`` blocks."""
-    return lambda table, f, e: _cond_proj1(table, *_blocks(e, kind))
-
-
-# (strict label, row) -> (condition name, check(table, f, edge)).  Rows are
-# "f", "g" and "h"; ``f`` is the unified binary operation, which only the
+# (strict label, row) -> (condition name, check(stack, f, edge)).  Rows are
+# "f", "g" and "h"; a check maps an (m, n, ..., n) stack of tables to a mask
+# of length m.  ``f`` is the unified binary operation, which only the
 # semilattice compositions of g and h read.
 _CONDITIONS = {
-    (STRICT_SEMILATTICE, "f"): ("f-semilattice", lambda t, f, e: cond_f_semilattice(t, e)),
-    (STRICT_MAJORITY, "f"): ("f-proj1", _proj1(MAJORITY)),
-    (STRICT_AFFINE, "f"): ("f-proj1", _proj1(AFFINE)),
+    (STRICT_SEMILATTICE, "f"): ("f-semilattice", lambda s, f, e: cond_f_semilattice(s, e)),
+    (STRICT_MAJORITY, "f"): ("f-proj1", lambda s, f, e: _cond_proj1(s, *_blocks(e, MAJORITY))),
+    (STRICT_AFFINE, "f"): ("f-proj1", lambda s, f, e: _cond_proj1(s, *_blocks(e, AFFINE))),
     (STRICT_SEMILATTICE, "g"): ("g-sl-composition", cond_sl_composition),
-    (STRICT_MAJORITY, "g"): ("g-majority", lambda t, f, e: cond_g_majority(t, e)),
-    (STRICT_AFFINE, "g"): ("g-proj1", _proj1(AFFINE)),
+    (STRICT_MAJORITY, "g"): ("g-majority", lambda s, f, e: cond_g_majority(s, e)),
+    (STRICT_AFFINE, "g"): ("g-proj1", lambda s, f, e: _cond_proj1(s, *_blocks(e, AFFINE))),
     (STRICT_SEMILATTICE, "h"): ("h-sl-composition", cond_sl_composition),
-    (STRICT_MAJORITY, "h"): ("h-proj1", _proj1(MAJORITY)),
-    (STRICT_AFFINE, "h"): ("h-affine", lambda t, f, e: cond_h_affine(t, e)),
+    (STRICT_MAJORITY, "h"): ("h-proj1", lambda s, f, e: _cond_proj1(s, *_blocks(e, MAJORITY))),
+    (STRICT_AFFINE, "h"): ("h-affine", lambda s, f, e: cond_h_affine(s, e)),
 }
+
+
+def _row_mask(which: str, stack: np.ndarray, f: OpTable | None, edges: Sequence[EdgeInfo]) -> np.ndarray:
+    """Mask of the tables of ``stack`` that meet the whole ``which`` row."""
+    ok = np.ones(len(stack), dtype=bool)
+    for e in edges:
+        if e.strict is not None and ok.any():
+            ok[ok] = _CONDITIONS[(e.strict, which)][1](stack[ok], f, e)
+    return ok
 
 
 def _first_failure(which: str, table: OpTable, f: OpTable | None, edges: Sequence[EdgeInfo]):
@@ -221,7 +228,7 @@ def _first_failure(which: str, table: OpTable, f: OpTable | None, edges: Sequenc
         if e.strict is None:
             continue
         name, check = _CONDITIONS[(e.strict, which)]
-        if not check(table, f, e):
+        if not check(_stack(table), f, e)[0]:
             return (e.a, e.b), name
     return None
 
@@ -235,7 +242,7 @@ def unified_conditions(alg: Algebra, edges: Sequence[EdgeInfo], f: OpTable, g: O
             continue
         for which, table in (("f", f), ("g", g), ("h", h)):
             name, check = _CONDITIONS[(e.strict, which)]
-            res = check(table, f, e)
+            res = bool(check(_stack(table), f, e)[0])
             matrix[((e.a, e.b), name)] = res
             if not res and first_fail is None:
                 first_fail = ((e.a, e.b), name)
@@ -271,21 +278,6 @@ def g_from_f(f: OpTable) -> OpTable:
     x, y, z = np.indices((n, n, n))
     vals = t[x, t[y, z]]
     return OpTable("g", 3, n, vals.reshape(-1))
-
-
-def ternary_compose_outer(p: OpTable, gj: OpTable, gprev: OpTable) -> OpTable:
-    """x,y,z -> p(gj(x,y,z), gprev(x,y,z))."""
-    n = p.size
-    a = gj.table()
-    b = gprev.table()
-    vals = p.table()[a, b]
-    return OpTable("g", 3, n, vals.reshape(-1))
-
-
-def permuted_ternary(g: OpTable, perm: tuple[int, int, int]) -> OpTable:
-    cube = g.table()
-    vals = np.transpose(cube, perm)
-    return OpTable(g.name, 3, g.size, np.ascontiguousarray(vals).reshape(-1))
 
 
 def g_doubleprime(g: OpTable) -> OpTable:
@@ -328,15 +320,22 @@ def _witness_tables(alg: Algebra, edges, kind: str, arity: int) -> list[OpTable]
 
 
 def _search(alg: Algebra, arity: int, candidates, check, budget: ClosureBudget):
-    """The first of ``candidates``, else of the arity-``arity`` term slice,
-    that passes ``check``; None when the complete slice has none, UNKNOWN
-    when the slice was capped."""
+    """The first of ``candidates``, else of the arity-``arity`` term
+    operations in stored order, that passes ``check`` (a mask over a stack
+    of tables); None when the complete closure has none, UNKNOWN when it
+    was capped.  The closure stops at the first round with a passing table.
+    """
     for t in candidates:
-        if check(t):
+        if check(_stack(t))[0]:
             return t
-    tables, status = term_slice(alg, arity, budget)
-    found = next((t for t in tables if check(t)), None)
-    return UNKNOWN if found is None and status != "complete" else found
+    n = alg.size
+    shape = (n,) * arity
+    hit, status = closure_search(
+        alg, n**arity, argument_grids(n, arity), lambda rows: check(rows.reshape(-1, *shape)), budget
+    )
+    if hit is not None:
+        return OpTable("s", arity, n, hit)
+    return None if status == COMPLETE else UNKNOWN
 
 
 def _f_candidates(alg: Algebra, edges):
@@ -349,7 +348,7 @@ def _f_candidates(alg: Algebra, edges):
         # constructive merge: fold remaining witnesses over the current candidate
         cur = wits[0]
         for e in s_edges:
-            if not cond_f_semilattice(cur, e):
+            if not cond_f_semilattice(_stack(cur), e)[0]:
                 cur = compose_fold_f(term_table(alg, e.witnesses[SEMILATTICE], 2), cur)
         yield cur
         yield projectionized(cur)
@@ -357,20 +356,19 @@ def _f_candidates(alg: Algebra, edges):
 
 def _majority_merge(alg: Algebra, m_edges, cur: OpTable) -> OpTable:
     """Merge into ``cur`` the witness of every majority edge it fails."""
-    n = alg.size
-    x, y = np.indices((n, n))
+    x, y = np.indices((alg.size, alg.size))
+    perms = ((0, 1, 2), (1, 0, 2), (2, 1, 0), (1, 2, 0), (2, 0, 1), (0, 2, 1))
     for e in m_edges:
-        if cond_g_majority(cur, e):
+        if cond_g_majority(_stack(cur), e)[0]:
             continue
         # permute arguments of cur so that (x,y,y) acts as first projection
         # on this edge, then merge with the edge's own witness
-        for perm in ((0, 1, 2), (1, 0, 2), (2, 1, 0), (1, 2, 0), (2, 0, 1), (0, 2, 1)):
-            pt = permuted_ternary(cur, perm).table()[x, y, y]
-            p = OpTable("p", 2, n, pt.reshape(-1))
-            if _cond_proj1(p, *_blocks(e, MAJORITY)):
-                wt = term_table(alg, e.witnesses[MAJORITY], 3)
-                cur = ternary_compose_outer(p, wt, cur)
-                break
+        cube = cur.table()
+        ps = np.stack([np.transpose(cube, perm)[x, y, y] for perm in perms])
+        ok = _cond_proj1(ps, *_blocks(e, MAJORITY))
+        if ok.any():
+            wt = term_table(alg, e.witnesses[MAJORITY], 3).table()
+            cur = OpTable("g", 3, alg.size, ps[np.argmax(ok)][wt, cube].reshape(-1))
     return cur
 
 
@@ -389,7 +387,7 @@ def _h_candidates(alg: Algebra, edges, f: OpTable):
 
 
 def _synthesize(which: str, alg: Algebra, candidates, f, edges, budget: ClosureBudget) -> OpTable:
-    """The first candidate, else term-slice table, meeting row ``which``.
+    """The first candidate, else term operation, meeting row ``which``.
 
     Raises SynthesisError naming the first condition of the row that the
     first candidate fails.
@@ -398,11 +396,7 @@ def _synthesize(which: str, alg: Algebra, candidates, f, edges, budget: ClosureB
     candidates = iter(candidates)
     first = next(candidates)
     found = _search(
-        alg,
-        arity,
-        itertools.chain([first], candidates),
-        lambda t: _first_failure(which, t, f, edges) is None,
-        budget,
+        alg, arity, itertools.chain([first], candidates), lambda s: _row_mask(which, s, f, edges), budget
     )
     if found is None or found is UNKNOWN:
         capped = found is UNKNOWN
@@ -420,11 +414,11 @@ def synth_unified(alg: Algebra, edges: Sequence[EdgeInfo], budget: ClosureBudget
     with the absorption identities enforced (``enforce_identities``).
 
     Each operation is the first of its candidates (listed in the module
-    docstring) that meets its row of the matrix, else the first such table
-    of the binary/ternary term slice.  Raises SynthesisError when a row
-    cannot be met within the budget, naming the first edge and condition
-    that the row's first candidate fails, and "(slice capped)" when the
-    slice search was cut short.
+    docstring) that meets its row of the matrix, else the first such
+    binary/ternary term operation.  Raises SynthesisError when a row cannot
+    be met within the budget, naming the first edge and condition that the
+    row's first candidate fails, and "(slice capped)" when the search of the
+    term operations was cut short.
     """
     edges = tuple(e for e in edges if e.is_edge())
     f = _synthesize("f", alg, _f_candidates(alg, edges), None, edges, budget)
@@ -566,19 +560,17 @@ def good_f(alg: Algebra, ops: UnifiedOps, budget: ClosureBudget = DEFAULT_BUDGET
     """Improve f so that f(a,b) = a or (a, f(a,b)) is a thin semilattice edge.
 
     Tries f and its iterates x,y -> f(x, f(f_i(x,y), x)), then the binary
-    term slice, for a table that is good in this sense, keeps the f row of
-    the condition matrix and satisfies f(x, f(x,y)) = f(x,y).
+    term operations, for a table that is good in this sense, keeps the f row
+    of the condition matrix and satisfies f(x, f(x,y)) = f(x,y).
     """
-    x = np.indices((alg.size, alg.size))[0]
+    x = np.arange(alg.size)[:, None]
 
-    def check(table: OpTable) -> bool:
-        t = table.table()
+    def check(stack: np.ndarray) -> np.ndarray:
+        i = np.arange(len(stack))[:, None, None]
+        absorbs = stack[i, x, stack] == stack  # f(a, c) = c for c = f(a, b)
         # c = f(a,b) is a, or f(a,c) = f(c,a) = c
-        return (
-            bool(((t == x) | ((t[x, t] == t) & (t[t, x] == t))).all())
-            and _first_failure("f", table, None, ops.edges) is None
-            and np.array_equal(t[x, t], t)
-        )
+        good = ((stack == x) | (absorbs & (stack[i, stack, x] == stack))).all(axis=(1, 2))
+        return good & absorbs.all(axis=(1, 2)) & _row_mask("f", stack, None, ops.edges)
 
     found = _search(alg, 2, _good_f_candidates(ops.f), check, budget)
     if found is None or found is UNKNOWN:
@@ -804,11 +796,11 @@ def verify_thick_thin(alg: Algebra, edges: Sequence[EdgeInfo], fprime: OpTable):
         if SEMILATTICE not in e.types:
             continue
         ablk, bblk = _blocks(e, SEMILATTICE)
-        act = _f_two_block_action(fprime, ablk, bblk)
-        if act is None or act[(0, 1)] != act[(1, 0)]:
+        act = _block_action(_stack(fprime), ablk, bblk)[0]
+        if (act < 0).any() or act[0, 1] != act[1, 0]:
             failures.append(((e.a, e.b), "f' not semilattice on the thick edge"))
             continue
-        target_is_b = act[(0, 1)] == 1
+        target_is_b = act[0, 1] == 1
         src, dst = (ablk, bblk) if target_is_b else (bblk, ablk)
         for c in src:
             if not any(t[c, d] == d and t[d, c] == d for d in dst):

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from algraph.congruence import (
@@ -18,10 +21,10 @@ from algraph.congruence import (
     tolerance_classes,
     transitive_closure_partition,
 )
-from algraph.core import Algebra, AlgebraError, OpTable, VerificationError
+from algraph.core import Algebra, AlgebraError, OpTable, VerificationError, product_algebra
 from algraph.subpower import ClosureBudget, generate_subuniverse
 from algraph.verify import iter_idempotent_algebras
-from oracles import brute_congruences
+from oracles import _partitions, brute_congruences
 
 
 def as_blocksets(parts):
@@ -63,6 +66,26 @@ def test_all_congruences_vs_brute(algs):
     for name in ("S3chain", "RPS", "Z3A", "M2", "A2"):
         alg = algs[name]
         assert as_blocksets(all_congruences(alg)) == brute_congruences(alg)
+
+
+def test_is_congruence_matches_brute_force(algs):
+    """is_congruence accepts exactly the brute-force congruences among all
+    partitions, on the fixtures and on seeded random 4-element algebras."""
+    rng = random.Random(4)
+    randoms = []
+    for i in range(6):
+        arity = 2 if i % 2 else 3
+        vals = [
+            args[0] if len(set(args)) == 1 else rng.randrange(4)
+            for args in itertools.product(range(4), repeat=arity)
+        ]
+        randoms.append(Algebra(f"r4_{i}", 4, [OpTable("f", arity, 4, vals)]))
+    square = product_algebra([algs["S2"], algs["S2"]])  # 4 elements, 7 congruences
+    for alg in [*algs.values(), square, *randoms]:
+        brute = brute_congruences(alg)
+        for blocks in _partitions(alg.size):
+            want = frozenset(map(frozenset, blocks)) in brute
+            assert is_congruence(alg, Partition.from_blocks(alg.size, blocks)) == want, (alg.name, blocks)
 
 
 def test_all_congruences_s3chain(algs):

@@ -365,7 +365,7 @@ def test_siggers_agrees_with_divisor_test():
         if res is not UNKNOWN:
             assert res is omits_type1(alg), f"disagreement at index {idx}"
             checked += 1
-    assert checked >= 20
+    assert checked >= 43  # the size-3 answers decided at this budget
 
 
 def test_strictly_simple_and_tolerance_free(algs):

@@ -286,6 +286,12 @@ def test_out_of_range_target_is_an_error(algs):
             generate_subuniverse(z3a, 2, gens, target=bad)
         with pytest.raises(AlgebraError, match="target entry out of range"):
             find_term(z3a, 2, gens, bad, DEFAULT_BUDGET)
+    # generators are checked alike by the closure and the predicate search
+    for bad_gens in ([(0, 1), (0, 3)], [(-1, 0)], [(256, 0)], [(0, 1), (1,)], [(0, 1, 2)], []):
+        with pytest.raises(AlgebraError):
+            generate_subuniverse(z3a, 2, bad_gens)
+        with pytest.raises(AlgebraError):
+            closure_search(z3a, 2, bad_gens, lambda rows: rows[:, 0] == 2)
 
 
 def test_find_is_none_outside_the_power(algs):
@@ -328,31 +334,43 @@ def _battery(algs):
                 yield alg, gens, target, budget
 
 
-def _battery_digests(algs):
-    closures, searches = hashlib.sha256(), hashlib.sha256()
+def _battery_digest(algs):
+    """Hash of the rows, derivations and status of every battery closure.
+
+    On the way, every closure search is checked against its closure: the
+    hit is the closure's first passing row in stored order, and a miss has
+    the closure's status.  Returns the hash and the numbers of hits and
+    misses."""
+    closures = hashlib.sha256()
+    hits = misses = 0
     for alg, gens, target, budget in _battery(algs):
         k = len(gens[0])
         for t in (None, target):
             su = generate_subuniverse(alg, k, gens, budget=budget, target=t)
             closures.update(repr((alg.name, gens, budget, t, su.status, su.derivations)).encode())
             closures.update(np.ascontiguousarray(su.rows).tobytes())
+            if t is None:
+                full = su
         tgt = np.array(target, dtype=np.uint8)
         for pred in (
             lambda rows: (rows == tgt).all(axis=1),
             lambda rows: (rows == rows[:, :1]).all(axis=1) & (rows[:, 0] == tgt[0]),
         ):
             hit, status = closure_search(alg, k, gens, pred, budget)
-            hit = None if hit is None else hit.tolist()
-            searches.update(repr((alg.name, gens, budget, hit, status)).encode())
-    return closures.hexdigest(), searches.hexdigest()
+            passing = pred(full.rows).nonzero()[0]
+            case = (alg.name, gens, budget)
+            if passing.size:
+                assert hit is not None and hit.tolist() == full.rows[passing[0]].tolist(), case
+                hits += 1
+            else:
+                assert hit is None and status == full.status, case
+                misses += 1
+    return closures.hexdigest(), hits, misses
 
 
 # Taken from the engine that keyed rows by bytes in a Python set, before the
 # integer-coded closure.
-_BATTERY_PIN = (
-    "4240194a3cb8f8f4bf9e0164440c86e036530623467a09a52fa92e0fa7d64e70",
-    "c2e93e8d6b273e37733c767345c91e351195fa7d97420115cd8a39cc3639c09d",
-)
+_BATTERY_PIN = "4240194a3cb8f8f4bf9e0164440c86e036530623467a09a52fa92e0fa7d64e70"
 
 
 @pytest.mark.parametrize(
@@ -373,12 +391,15 @@ _BATTERY_PIN = (
     ],
 )
 def test_closure_battery_pinned(algs, monkeypatch, setting):
-    """Rows, derivations and status of a fixed battery of closures and
-    closure searches, with and without a target and under every cap, hash
-    to the pin, whichever key backend, chunk size or target rule runs."""
+    """Rows, derivations and status of a fixed battery of closures, with and
+    without a target and under every cap, hash to the pin, and every closure
+    search answers as its closure does, whichever key backend, chunk size or
+    target rule runs."""
     for name, value in setting.items():
         monkeypatch.setattr(subpower, name, value)
-    assert _battery_digests(algs) == _BATTERY_PIN
+    digest, hits, misses = _battery_digest(algs)
+    assert digest == _BATTERY_PIN
+    assert hits and misses
 
 
 # An idempotent binary algebra on {0,1,2}: the first round of

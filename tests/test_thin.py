@@ -5,11 +5,19 @@ import numpy as np
 import pytest
 
 from algraph.core import Algebra, AlgebraError, OpTable, UNKNOWN, VerificationError, projection
-from algraph.edges import AFFINE, MAJORITY, SEMILATTICE, STRICT_AFFINE
+from algraph.edges import (
+    AFFINE,
+    MAJORITY,
+    SEMILATTICE,
+    STRICT_AFFINE,
+    STRICT_MAJORITY,
+    STRICT_SEMILATTICE,
+)
 from algraph.thin import (
     ThinEdge,
     UnifiedOps,
-    _values,
+    _CONDITIONS,
+    _stack,
     all_thin_edges,
     check_identities,
     cond_h_affine,
@@ -81,7 +89,57 @@ def test_synthesized_tables_match_reference(populations):
     assert digests == REFERENCE_TABLES
 
 
-def _loop_h_affine(h, e):
+def _loop_block(e, kind):
+    """The block (0 for a's, 1 for b's) of each element of the edge's two
+    theta blocks."""
+    return {y: i for i, x in enumerate((e.a, e.b)) for y in e.block_of(kind, x)}
+
+
+def _loop_values(t, blk, args):
+    """Blocks of t's values over the argument tuples."""
+    return {blk.get(t(*a)) for a in args}
+
+
+def _loop_f_semilattice(t, f, e):
+    blk = _loop_block(e, SEMILATTICE)
+    pairs = [(x, y) for x in blk for y in blk if blk[x] != blk[y]]
+    return _loop_values(t, blk, pairs) in ({0}, {1})
+
+
+def _loop_proj1(kind):
+    def check(t, f, e):
+        blk = _loop_block(e, kind)
+        return all(
+            blk.get(t(*a)) == blk[a[0]] for a in itertools.product(blk, repeat=t.arity)
+        )
+
+    return check
+
+
+def _loop_g_majority(t, f, e):
+    blk = _loop_block(e, MAJORITY)
+    return all(
+        blk.get(t(*a)) == sorted(blk[x] for x in a)[1]
+        for a in itertools.product(blk, repeat=3)
+        if len({blk[x] for x in a}) == 2
+    )
+
+
+def _loop_sl_composition(t, f, e):
+    blk = _loop_block(e, SEMILATTICE)
+    act = {}
+    for x, y in itertools.product(blk, repeat=2):
+        act.setdefault((blk[x], blk[y]), set()).add(blk.get(f(x, y)))
+    if any(len(v) != 1 or None in v for v in act.values()):
+        return False
+    act = {key: v.pop() for key, v in act.items()}
+    return all(
+        blk.get(t(x, y, z)) == act[blk[x], act[blk[y], blk[z]]]
+        for x, y, z in itertools.product(blk, repeat=3)
+    )
+
+
+def _loop_h_affine(h, f, e):
     """cond_h_affine evaluated tuple by tuple."""
     bid = e.theta[AFFINE].block_id
     reps = sorted(set(bid))
@@ -93,21 +151,47 @@ def _loop_h_affine(h, e):
     )
 
 
+_LOOPS = {
+    (STRICT_SEMILATTICE, "f"): _loop_f_semilattice,
+    (STRICT_MAJORITY, "f"): _loop_proj1(MAJORITY),
+    (STRICT_AFFINE, "f"): _loop_proj1(AFFINE),
+    (STRICT_SEMILATTICE, "g"): _loop_sl_composition,
+    (STRICT_MAJORITY, "g"): _loop_g_majority,
+    (STRICT_AFFINE, "g"): _loop_proj1(AFFINE),
+    (STRICT_SEMILATTICE, "h"): _loop_sl_composition,
+    (STRICT_MAJORITY, "h"): _loop_proj1(MAJORITY),
+    (STRICT_AFFINE, "h"): _loop_h_affine,
+}
+
+
 def test_vectorised_conditions_match_loops(pipelines):
-    """_values and cond_h_affine agree with their tuple-by-tuple forms."""
+    """Every condition of the matrix, applied to a stack of tables, gives the
+    mask its tuple-by-tuple form gives table by table.  The stack holds the
+    unified table, one-cell mutations of it (which pass some conditions and
+    fail others) and random tables."""
     rng = np.random.default_rng(0)
-    for name in ("A2", "Z3A", "RPS", "S3chain"):
-        p = pipelines[name]
+    covered, passed = set(), 0
+    for p in pipelines.values():
         n = p.alg.size
-        tables = [p.ops.h] + [table(rng.integers(0, n, n**3), 3, n, "h") for _ in range(20)]
-        for t in tables:
-            argsets = [sorted(set(rng.integers(0, n, 2).tolist())) for _ in range(3)]
-            assert _values(t, *argsets) == {t(*a) for a in itertools.product(*argsets)}
-            for e in p.edges:
-                if e.strict == STRICT_AFFINE:
-                    assert cond_h_affine(t, e) == _loop_h_affine(t, e)
+        for (strict, which), (_, check) in _CONDITIONS.items():
+            edges = [e for e in p.edges if e.strict == strict]
+            if not edges:
+                continue
+            covered.add((strict, which))
+            unified = getattr(p.ops, which)
+            tables = [unified.values.copy() for _ in range(12)]
+            for vals in tables[1:]:
+                vals[rng.integers(0, vals.size)] = rng.integers(0, n)
+            tables += [rng.integers(0, n, unified.values.size) for _ in range(8)]
+            stack = np.array(tables, dtype=np.uint8).reshape(-1, *unified.table().shape)
+            for e in edges:
+                mask = check(stack, p.ops.f, e)
+                want = [_LOOPS[strict, which](table(t, unified.arity, n), p.ops.f, e) for t in tables]
+                assert mask.tolist() == want, (p.alg.name, strict, which, (e.a, e.b))
+                passed += sum(want)
+    assert covered == set(_CONDITIONS) and passed > 0
     z3 = pipelines["Z3A"]
-    assert all(cond_h_affine(z3.ops.h, e) for e in z3.edges)
+    assert all(cond_h_affine(_stack(z3.ops.h), e)[0] for e in z3.edges)
 
 
 def test_condition_matrix_recorded(pipelines):
