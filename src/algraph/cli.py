@@ -1,6 +1,7 @@
 """Command line surface.
 
-Subcommands: check, edges, graph, thin, synth, reduct, verify, enumerate.
+Subcommands: check, edges, graph, thin, synth, slice, reduct, verify,
+enumerate.
 Reports go to stdout or --json PATH with a stable field order, DOT files
 via --dot.  Exit codes: 0 all pass, 1 failure, 2 usage/parse error,
 3 unknown results present.  The closure cap can be set with --cap or the
@@ -16,7 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-from .connectivity import build_oriented_graph, components, export_dot, max_elements
+from .connectivity import build_oriented_graph, export_dot, verify_as_connectivity
 from .core import (
     UNKNOWN,
     Algebra,
@@ -28,6 +29,7 @@ from .core import (
 from .edges import edge_graph, has_siggers_term, omits_type1
 from .reduct import build_reduct, thick_edge_subset, verify_reduct_claims
 from .subpower import ClosureBudget, DEFAULT_MAX_ELEMENTS, term_slice
+from .thin import SynthesisError
 from .verify import (
     THEOREMS,
     Analysis,
@@ -120,30 +122,27 @@ def cmd_edges(args) -> int:
 def cmd_graph(args) -> int:
     alg = _load(args.file)
     ana = Analysis(alg, _budget(args))
-    graph, thin = ana.graph(), ana.thin()
-    g = build_oriented_graph(alg, thin, "all")
-    co = components(g)
+    graph, (thin, capped) = ana.graph(), ana.thin()
+    rep = verify_as_connectivity(alg, thin)
     payload = {
         "algebra": alg.name,
         "pairs": _edge_payload(graph),
         "thin_edges": [
             {"kind": t.kind, "from": t.src, "to": t.dst} for t in sorted(thin, key=lambda t: (t.src, t.dst, t.kind))
         ],
-        "maximal": max_elements(alg, thin, "s"),
-        "as_components": sorted(
-            [sorted(co.members(c)) for c in set(co.component)]
-        ),
+        "maximal": rep["maximal"],
+        "as_components": rep["as_components"],
     }
     if args.dot:
-        Path(args.dot).write_text(export_dot(g, name=alg.name))
+        Path(args.dot).write_text(export_dot(build_oriented_graph(alg, thin, "all"), name=alg.name))
     _emit(args, payload)
-    return EXIT_UNKNOWN if graph.has_unknown() else EXIT_PASS
+    return EXIT_UNKNOWN if capped or graph.has_unknown() else EXIT_PASS
 
 
 def cmd_thin(args) -> int:
     alg = _load(args.file)
     ana = Analysis(alg, _budget(args))
-    fp, thin = ana.fprime(), ana.thin()
+    fp, (thin, capped) = ana.fprime(), ana.thin()
     payload = {
         "algebra": alg.name,
         "good_f": [int(v) for v in fp.values],
@@ -160,7 +159,7 @@ def cmd_thin(args) -> int:
     if args.dot:
         Path(args.dot).write_text(export_dot(build_oriented_graph(alg, thin, "all"), name=alg.name))
     _emit(args, payload)
-    return EXIT_PASS
+    return EXIT_UNKNOWN if capped or ana.graph().has_unknown() else EXIT_PASS
 
 
 def cmd_synth(args) -> int:
@@ -366,6 +365,9 @@ def main(argv=None) -> int:
     except AlgebraError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_USAGE
+    except SynthesisError as ex:
+        print(f"error: {ex}", file=sys.stderr)
+        return EXIT_UNKNOWN if ex.capped else EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -1,16 +1,23 @@
 """Congruences and tolerances of finite idempotent algebras.
 
 Partitions are stored as a block-id vector normalized so that each block
-is labelled by its least member.  Compatibility checks use unary
-translations f(c1,..,x,..,ck): a partition is a congruence exactly when
-every translation maps blocks into blocks, so only n^2 pairs per
-translation family need examining instead of all tuple pairs.
+is labelled by its least member.  Congruences are read off one
+translation table per algebra: every unary translation f(c1,..,x,..,ck)
+of every basic operation, one row each.  A partition is a congruence
+exactly when every translation maps blocks into blocks, so only n^2 pairs
+per translation need examining instead of all tuple pairs.
+
+The congruence lattice is the set of joins of the principal congruences
+Cg(a, b), all closed over the one table.  No join is re-checked: Con A is
+a sublattice of the equivalence lattice (Burris and Sankappanavar, A
+Course in Universal Algebra, section I.5), so the join of two congruences
+as equivalence relations is again a congruence.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,16 +49,8 @@ class _UnionFind:
         return True
 
     def block_id(self) -> tuple[int, ...]:
-        # least member of each class as representative
-        n = len(self.parent)
-        rep: dict[int, int] = {}
-        out = [0] * n
-        for x in range(n):
-            r = self.find(x)
-            if r not in rep:
-                rep[r] = min(y for y in range(n) if self.find(y) == r)
-            out[x] = rep[r]
-        return tuple(out)
+        # ``union`` roots each class at its least member
+        return tuple(self.find(x) for x in range(len(self.parent)))
 
 
 class Partition:
@@ -175,55 +174,65 @@ class Partition:
         return "[" + ",".join("[" + ",".join(map(str, b)) + "]" for b in self.blocks()) + "]"
 
 
-def _translation_matrix(op, pos: int) -> np.ndarray:
-    """Rows are unary translations: fix all arguments except ``pos``.
+def _translations(alg: Algebra) -> np.ndarray:
+    """The translation table: every distinct unary translation of every
+    basic operation, one per row.
 
-    Shape (n^(arity-1), n); entry [c, x] is f(..c.., x, ..c..).
+    Shape (R, n); row r is x -> f(c1, .., x, .., ck) for one operation f,
+    one argument position and one assignment c of the other arguments.
+    Many operations share translations (a reduct's hundreds of operations
+    have at most n^n distinct ones), so each is kept once.
     """
-    cube = op.table()
-    moved = np.moveaxis(cube, pos, -1)
-    return moved.reshape(-1, op.size)
+    rows = np.concatenate(
+        [
+            np.moveaxis(op.table(), pos, -1).reshape(-1, alg.size)
+            for op in alg.ops
+            for pos in range(op.arity)
+        ]
+    )
+    return np.array(list(set(map(tuple, rows.tolist()))))
+
+
+def _generate(columns: list[list[int]], pairs: Iterable[tuple[int, int]]) -> Partition:
+    """Least congruence containing the pairs; ``columns[x]`` is column x of
+    the translation table.  Each newly identified pair (x, y) identifies
+    t(x) with t(y) for every translation t, until nothing changes."""
+    uf = _UnionFind(len(columns))
+    work = [(a, b) for a, b in pairs if uf.union(a, b)]
+    while work:
+        x, y = work.pop()
+        work.extend((u, v) for u, v in zip(columns[x], columns[y]) if uf.union(u, v))
+    return Partition(uf.block_id())
+
+
+def _principals(alg: Algebra) -> Iterator[Partition]:
+    """Cg(a, b) for every a < b, all closed over one translation table."""
+    columns = _translations(alg).T.tolist()
+    n = alg.size
+    return (_generate(columns, [(a, b)]) for a in range(n) for b in range(a + 1, n))
 
 
 def is_congruence(alg: Algebra, p: Partition) -> bool:
-    """Exhaustive compatibility check through unary translations."""
+    """Does every translation map blocks into blocks?"""
     if p.size != alg.size:
         raise AlgebraError(
             f"partition size {p.size} does not match algebra size {alg.size}"
         )
     bid = np.asarray(p.block_id)
-    for op in alg.ops:
-        for pos in range(op.arity):
-            tb = bid[_translation_matrix(op, pos)]
-            # block ids are the least member of each block: every column
-            # must equal the column of its block's least member
-            if not (tb == tb[:, bid]).all():
-                return False
-    return True
+    tb = bid[_translations(alg)]
+    # block ids are the least member of each block: every column must
+    # equal the column of its block's least member
+    return bool((tb == tb[:, bid]).all())
 
 
 def congruence_generated(alg: Algebra, pairs: Iterable[tuple[int, int]]) -> Partition:
     """Least congruence containing the pairs, by translation closure."""
     n = alg.size
-    uf = _UnionFind(n)
-    work: list[tuple[int, int]] = []
+    pairs = list(pairs)
     for a, b in pairs:
         if not (0 <= a < n and 0 <= b < n):
             raise AlgebraError(f"pair ({a},{b}) out of range")
-        if uf.union(a, b):
-            work.append((a, b))
-    mats = [
-        _translation_matrix(op, pos)
-        for op in alg.ops
-        for pos in range(op.arity)
-    ]
-    while work:
-        x, y = work.pop()
-        for tm in mats:
-            for u, v in zip(tm[:, x], tm[:, y]):
-                if uf.union(int(u), int(v)):
-                    work.append((int(u), int(v)))
-    return Partition(uf.block_id())
+    return _generate(_translations(alg).T.tolist(), pairs)
 
 
 def principal_congruence(alg: Algebra, a: int, b: int) -> Partition:
@@ -235,7 +244,7 @@ MAX_LATTICE_SIZE = 12
 
 
 def all_congruences(alg: Algebra) -> list[Partition]:
-    """Every congruence, as the join closure of the principal ones.
+    """Every congruence, as the joins of the principal ones.
 
     Sorted finer-first: by descending block count, then by block-id vector.
     Guarded to small algebras; the lattice can be exponential in general.
@@ -243,29 +252,12 @@ def all_congruences(alg: Algebra) -> list[Partition]:
     n = alg.size
     if n > MAX_LATTICE_SIZE:
         raise AlgebraError(f"all_congruences limited to size {MAX_LATTICE_SIZE}")
+    # ``found`` holds the joins of every subset of the principal congruences
+    # seen so far; a principal already in it changes nothing
     found: set[Partition] = {Partition.equality(n)}
-    principals = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            p = principal_congruence(alg, a, b)
-            principals.append(p)
-            found.add(p)
-    frontier = list(found)
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for q in principals:
-                j = p.join(q)
-                # join of congruences is again a congruence; repair defensively
-                if not is_congruence(alg, j):
-                    j = congruence_generated(
-                        alg,
-                        [(x, j.block_id[x]) for x in range(n)],
-                    )
-                if j not in found:
-                    found.add(j)
-                    nxt.append(j)
-        frontier = nxt
+    for p in _principals(alg):
+        if p not in found:
+            found |= {p.join(q) for q in found}
     return sorted(found, key=Partition.sort_key)
 
 
@@ -280,10 +272,10 @@ def maximal_congruences(alg: Algebra) -> list[Partition]:
 
 
 def is_simple(alg: Algebra) -> bool:
-    """Exactly two congruences; one-element algebras are not simple."""
-    if alg.size < 2:
-        return False
-    return len(all_congruences(alg)) == 2
+    """Exactly two congruences: the algebra has at least two elements and
+    every principal congruence is total.  One-element algebras are not
+    simple."""
+    return alg.size >= 2 and all(p.is_total() for p in _principals(alg))
 
 
 # ---------------------------------------------------------------------------
@@ -361,10 +353,7 @@ def is_compatible_tolerance(alg: Algebra, t: Tolerance) -> bool:
 
 
 def transitive_closure_partition(t: Tolerance) -> Partition:
-    uf = _UnionFind(t.size)
-    for a, b in t.pairs():
-        uf.union(a, b)
-    return Partition(uf.block_id())
+    return Partition.from_pairs(t.size, t.pairs())
 
 
 def is_connected_tolerance(alg: Algebra, t: Tolerance) -> bool:

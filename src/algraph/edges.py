@@ -46,7 +46,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .congruence import Partition, _UnionFind, all_congruences, is_simple
+from .congruence import Partition, all_congruences, is_simple
 from .core import (
     UNKNOWN,
     Algebra,
@@ -382,11 +382,8 @@ def edges_connect(nodes: Sequence[int], edges: Iterable[EdgeInfo]) -> bool:
     """Do the edges join all of ``nodes`` into one component (union-find)?"""
     if len(nodes) <= 1:
         return True
-    uf = _UnionFind(max(nodes) + 1)
-    for e in edges:
-        uf.union(e.a, e.b)
-    root = uf.find(nodes[0])
-    return all(uf.find(x) == root for x in nodes)
+    p = Partition.from_pairs(max(nodes) + 1, ((e.a, e.b) for e in edges))
+    return all(p.same(x, nodes[0]) for x in nodes)
 
 
 def edge_graph(alg: Algebra, budget: ClosureBudget = DEFAULT_BUDGET) -> EdgeGraph:
@@ -552,14 +549,8 @@ def is_tolerance_free(alg: Algebra) -> bool:
 
 def _hypergraph_connected(alg: Algebra, a: int, b: int) -> bool:
     """Are a, b connected in the hypergraph of proper subalgebras?"""
-    uf = _UnionFind(alg.size)
-    for carrier in all_subuniverses(alg, min_size=2):
-        if len(carrier) == alg.size:
-            continue
-        first = carrier[0]
-        for x in carrier[1:]:
-            uf.union(first, x)
-    return uf.find(a) == uf.find(b)
+    proper = (c for c in all_subuniverses(alg, min_size=2) if len(c) < alg.size)
+    return Partition.from_pairs(alg.size, ((c[0], x) for c in proper for x in c[1:])).same(a, b)
 
 
 def verify_simple_case4(alg: Algebra, a: int, b: int, budget: ClosureBudget = DEFAULT_BUDGET) -> dict:

@@ -692,10 +692,12 @@ def all_thin_edges(
     ops: UnifiedOps,
     fprime: OpTable,
     budget: ClosureBudget = DEFAULT_BUDGET,
-) -> list[ThinEdge]:
-    """Every thin edge of every kind, over all ordered pairs of ``graph``."""
+) -> tuple[list[ThinEdge], bool]:
+    """Every thin edge of every kind, over all ordered pairs of ``graph``,
+    and whether any search was capped (so that thin edges may be missing)."""
     alg = graph.alg
     out = thin_semilattice_edges(alg, fprime)
+    capped = False
     for a in range(alg.size):
         for b in range(alg.size):
             if a == b:
@@ -705,7 +707,8 @@ def all_thin_edges(
                 res = is_thin(kind, alg, a, b, info, ops, budget)
                 if isinstance(res, ThinEdge):
                     out.append(res)
-    return out
+                capped |= res is UNKNOWN
+    return out, capped
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ class Pipeline:
         self.edges = self.graph.edge_list()
         self.ops = ana.unified()
         self.fprime = ana.fprime()
-        self.thin = ana.thin()
+        self.thin, _ = ana.thin()
 
 
 @pytest.fixture(scope="session")

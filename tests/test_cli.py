@@ -3,10 +3,12 @@ from pathlib import Path
 
 import pytest
 
+import algraph.thin
 from algraph.cli import main
-from algraph.core import parse_algebra, serialize_algebra
+from algraph.core import UNKNOWN, parse_algebra, serialize_algebra
 from algraph.fixtures import fixture
 from algraph.subpower import DEFAULT_MAX_ELEMENTS
+from algraph.verify import idempotent_algebra
 
 DATA = Path(__file__).parent.parent / "src" / "algraph" / "data"
 
@@ -56,6 +58,38 @@ def test_graph_dot(tmp_path, capsys):
     assert "0 -> 1" in text and "1 -> 2" in text and "2 -> 0" in text
     rep = json.loads(out)
     assert rep["maximal"] == [0, 1, 2]
+
+
+def test_graph_as_components_read_the_as_graph(capsys):
+    """M2's thin edges are majority arcs, which the semilattice+affine
+    graph leaves out, as ``verify_as_connectivity`` does."""
+    code, out = run(capsys, "graph", str(DATA / "M2.alg"))
+    assert code == 0
+    assert json.loads(out)["as_components"] == [[0], [1]]
+
+
+@pytest.mark.parametrize("command", ["synth", "thin", "graph"])
+@pytest.mark.parametrize("status, expected", [("capped", 3), ("complete", 1)])
+def test_synthesis_error_exit_codes(command, status, expected, tmp_path, monkeypatch, capsys):
+    """A synthesis cut by the cap is unknown; one that searched everything failed."""
+    path = tmp_path / "b3_3.alg"
+    path.write_text(serialize_algebra(idempotent_algebra(3, "binary", 3)))
+    monkeypatch.setattr(algraph.thin, "closure_search", lambda *args: (None, status))
+    code = main([command, str(path)])
+    captured = capsys.readouterr()
+    assert code == expected
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
+def test_thin_exits_3_on_unknown_edge_types(capsys):
+    code, _ = run(capsys, "thin", str(DATA / "RPS.alg"), "--cap", "3")
+    assert code == 3
+
+
+def test_thin_exits_3_on_a_capped_thin_search(monkeypatch, capsys):
+    monkeypatch.setattr(algraph.thin, "find_term", lambda *args: UNKNOWN)
+    code, _ = run(capsys, "thin", str(DATA / "A2.alg"))
+    assert code == 3
 
 
 def test_thin_command(capsys):

@@ -68,6 +68,26 @@ def test_all_congruences_vs_brute(algs):
         assert as_blocksets(all_congruences(alg)) == brute_congruences(alg)
 
 
+def test_all_congruences_of_products_vs_brute(algs, ternary_family):
+    """Products have lattices with many joins of principal congruences."""
+    t = ternary_family
+    for pair in (
+        (algs["S2"], algs["S2"]),
+        (algs["S3chain"], algs["S2"]),
+        (t["S2t"], t["M2t"]),
+        (t["M2t"], t["A2t"]),
+        (t["Z3At"], t["S2t"]),
+    ):
+        alg = product_algebra(pair)
+        assert as_blocksets(all_congruences(alg)) == brute_congruences(alg), alg.name
+
+
+def test_is_simple_matches_lattice_size(populations):
+    for tag, anas in populations.items():
+        for ana in anas:
+            assert is_simple(ana.alg) == (len(all_congruences(ana.alg)) == 2), (tag, ana.alg.name)
+
+
 def test_is_congruence_matches_brute_force(algs):
     """is_congruence accepts exactly the brute-force congruences among all
     partitions, on the fixtures and on seeded random 4-element algebras."""

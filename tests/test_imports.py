@@ -61,3 +61,16 @@ def test_no_dead_private_helpers():
     }
     used = set().union(*(_referenced(node) - _defined(node) for node in statements))
     assert sorted(private - used) == []
+
+
+def test_no_private_names_imported_across_modules():
+    """A ``_name`` is used only inside the module that defines it."""
+    crossing = [
+        f"{path.name}: {node.module}.{alias.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+    assert crossing == []

@@ -3,6 +3,7 @@ import pytest
 import algraph.reduct
 import algraph.thin
 import algraph.verify
+from algraph.core import UNKNOWN
 from algraph.subpower import ClosureBudget, term_slice
 from algraph.verify import (
     THEOREMS,
@@ -97,6 +98,17 @@ def test_capped_synthesis_is_unknown(check, monkeypatch):
     rep = check(Analysis(alg))
     assert rep.status == "unknown", rep.detail
     assert "slice capped" in rep.detail["error"]
+
+
+@pytest.mark.parametrize("name", ["M2", "A2", "Z3A"])
+def test_capped_thin_search_is_not_a_counterexample(name, algs, monkeypatch):
+    """A capped thin-edge search may have missed the arcs that a path needs,
+    so a missing path is unknown, not a failure with a counterexample."""
+    monkeypatch.setattr(algraph.thin, "find_term", lambda *args: UNKNOWN)
+    reports = {r.theorem: r for r in run_suite(algs[name], ("thin", "as-connectivity"))}
+    assert reports["thin"].status == "unknown"
+    assert reports["as-connectivity"].status == "unknown", reports["as-connectivity"].detail
+    assert "algebra" not in reports["as-connectivity"].detail
 
 
 def test_synthesis_error_names_the_failed_condition(monkeypatch):
