@@ -25,12 +25,13 @@ from algraph.fixtures import A2, M2, RPS, S3chain, Z3A
 
 def pipeline(alg):
     # One analysis per algebra: the edge graph is built once and the
-    # unified operations, f' and the thin edges are read from it.  The
-    # thin edges come with a flag saying whether a capped search may have
-    # missed some; nothing is capped on these fixtures.
+    # unified operations, f' and the thin edges are read from it.  Each
+    # ordered pair is decided once; the thin edges come with the set of
+    # (kind, src, dst) triples that a capped search left undecided, which
+    # is empty on these fixtures.
     ana = Analysis(alg)
-    thin, capped = ana.thin()
-    assert not capped
+    thin, undecided = ana.thin()
+    assert not undecided
     return ana.graph(), ana.unified(), ana.fprime(), thin
 
 

@@ -247,7 +247,10 @@ def all_congruences(alg: Algebra) -> list[Partition]:
     """Every congruence, as the joins of the principal ones.
 
     Sorted finer-first: by descending block count, then by block-id vector.
-    Guarded to small algebras; the lattice can be exponential in general.
+    A strictly finer partition has more blocks, so this order extends
+    refinement; ``edges.classify_pair`` relies on it to take the first
+    witnessing congruence as the minimal one.  Guarded to small algebras;
+    the lattice can be exponential in general.
     """
     n = alg.size
     if n > MAX_LATTICE_SIZE:

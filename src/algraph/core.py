@@ -130,10 +130,6 @@ class OpTable:
         """The values reshaped to one axis per argument."""
         return self.values.reshape((self.size,) * self.arity)
 
-    def is_idempotent(self) -> bool:
-        diag = tuple(range(self.size))
-        return bool(np.all(self.table()[(diag,) * self.arity] == np.arange(self.size)))
-
     def idempotency_violation(self) -> int | None:
         """Smallest x with f(x,...,x) != x, or None."""
         diag = self.table()[(tuple(range(self.size)),) * self.arity]

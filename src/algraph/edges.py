@@ -76,6 +76,7 @@ EDGE_TYPES = (SEMILATTICE, MAJORITY, AFFINE)
 STRICT_SEMILATTICE = "strictly-semilattice"
 STRICT_MAJORITY = "strictly-majority"
 STRICT_AFFINE = "strictly-affine"
+STRICT = {SEMILATTICE: STRICT_SEMILATTICE, MAJORITY: STRICT_MAJORITY, AFFINE: STRICT_AFFINE}
 
 
 @dataclass(frozen=True)
@@ -238,86 +239,63 @@ def affine_certificates(Q: Algebra, budget: ClosureBudget = DEFAULT_BUDGET):
 
 def classify_pair(alg: Algebra, a: int, b: int, budget: ClosureBudget = DEFAULT_BUDGET) -> EdgeInfo:
     """Full edge classification of a pair: types, minimal witnessing
-    congruences, witnesses, strictness."""
+    congruences, witnesses, strictness.
+
+    The congruences of Sg(a,b) that separate a from b are tried finer-first,
+    in the order of ``all_congruences``.  A strictly finer congruence has
+    more blocks, so it comes earlier: the first congruence that witnesses a
+    type is minimal among its witnessing ones, and the least of them in that
+    order.  A type is not searched again once witnessed, and the walk stops
+    when all three are.  A type is unknown when it stayed unwitnessed and
+    some search for it was capped.
+
+    The carrier is closed without the budget: it is a subset of A, and the
+    witness searches, which keep the budget, decide what a cap leaves open.
+    """
     if a == b:
         raise AlgebraError("classify_pair requires distinct elements")
-    su = generate_subuniverse(alg, 1, [(a,), (b,)], budget=budget, derivations=False)
-    carrier = sorted(x for (x,) in su.elements())
-    sub, carrier_list = subalgebra_induced(alg, carrier)
-    carrier_t = tuple(carrier_list)
+    su = generate_subuniverse(alg, 1, [(a,), (b,)], derivations=False)
+    sub, carrier = subalgebra_induced(alg, (x for (x,) in su.elements()))
+    carrier_t = tuple(carrier)
     a_loc, b_loc = carrier_t.index(a), carrier_t.index(b)
 
-    witnessed: dict[str, list[tuple[Partition, object]]] = {t: [] for t in EDGE_TYPES}
-    unknown_at: dict[str, bool] = {t: False for t in EDGE_TYPES}
-    orientations_at: dict[Partition, set[str]] = {}
-
+    found: dict[str, tuple[Partition, object]] = {}
+    capped: set[str] = set()
+    sl_orients: frozenset[str] = frozenset()
     for theta in all_congruences(sub):
+        if len(found) == len(EDGE_TYPES):
+            break
         if theta.same(a_loc, b_loc):
             continue
         Q, bmap = quotient_algebra(sub, theta)
         abar, bbar = bmap[a_loc], bmap[b_loc]
 
-        to_b = semilattice_witness(Q, abar, bbar, budget)
-        to_a = semilattice_witness(Q, bbar, abar, budget)
-        orients = set()
-        if to_b is not UNKNOWN and to_b is not None:
-            orients.add("ab")
-        if to_a is not UNKNOWN and to_a is not None:
-            orients.add("ba")
-        if orients:
-            orientations_at[theta] = orients
-            witnessed[SEMILATTICE].append((theta, to_b if "ab" in orients else to_a))
-        elif to_b is UNKNOWN or to_a is UNKNOWN:
-            unknown_at[SEMILATTICE] = True
+        if SEMILATTICE not in found:
+            to_b = semilattice_witness(Q, abar, bbar, budget)
+            to_a = semilattice_witness(Q, bbar, abar, budget)
+            hits = {o: w for o, w in (("ab", to_b), ("ba", to_a)) if w is not None and w is not UNKNOWN}
+            if hits:
+                found[SEMILATTICE] = (theta, next(iter(hits.values())))
+                sl_orients = frozenset(hits)
+            elif to_b is UNKNOWN or to_a is UNKNOWN:
+                capped.add(SEMILATTICE)
 
-        mj = majority_witness(Q, abar, bbar, budget)
-        if mj is UNKNOWN:
-            unknown_at[MAJORITY] = True
-        elif mj is not None:
-            witnessed[MAJORITY].append((theta, mj))
+        if MAJORITY not in found:
+            mj = majority_witness(Q, abar, bbar, budget)
+            if mj is UNKNOWN:
+                capped.add(MAJORITY)
+            elif mj is not None:
+                found[MAJORITY] = (theta, mj)
 
-        cert, capped = affine_certificates(Q, budget)
-        if cert is not None:
-            witnessed[AFFINE].append((theta, cert))
-        elif capped:
-            unknown_at[AFFINE] = True
+        if AFFINE not in found:
+            cert, cut = affine_certificates(Q, budget)
+            if cert is not None:
+                found[AFFINE] = (theta, cert)
+            elif cut:
+                capped.add(AFFINE)
 
-    types = frozenset(t for t in EDGE_TYPES if witnessed[t])
-    unknown_types = frozenset(t for t in EDGE_TYPES if not witnessed[t] and unknown_at[t])
-
-    theta_min: dict[str, Partition] = {}
-    witnesses: dict[str, TermExpr] = {}
-    affine_cert: AffineCertificate | None = None
-    sl_orients: frozenset[str] = frozenset()
-    for t in EDGE_TYPES:
-        if not witnessed[t]:
-            continue
-        cands = witnessed[t]
-        minimal = [
-            (p, w)
-            for (p, w) in cands
-            if not any(q != p and q.refines(p) for (q, _) in cands)
-        ]
-        minimal.sort(key=lambda pw: pw[0].sort_key())
-        theta, payload = minimal[0]
-        theta_min[t] = theta
-        if t == AFFINE:
-            affine_cert = payload
-            witnesses[t] = payload.term
-        else:
-            witnesses[t] = payload
-        if t == SEMILATTICE:
-            sl_orients = frozenset(orientations_at[theta])
-
-    if SEMILATTICE in types:
-        strict = STRICT_SEMILATTICE
-    elif MAJORITY in types:
-        strict = STRICT_MAJORITY
-    elif AFFINE in types:
-        strict = STRICT_AFFINE
-    else:
-        strict = None
-
+    kinds = [t for t in EDGE_TYPES if t in found]
+    affine_cert = found[AFFINE][1] if AFFINE in found else None
     return EdgeInfo(
         a=a,
         b=b,
@@ -325,13 +303,13 @@ def classify_pair(alg: Algebra, a: int, b: int, budget: ClosureBudget = DEFAULT_
         sub=sub,
         a_loc=a_loc,
         b_loc=b_loc,
-        types=types,
-        unknown_types=unknown_types,
-        theta=theta_min,
-        witnesses=witnesses,
+        types=frozenset(kinds),
+        unknown_types=frozenset(capped - found.keys()),
+        theta={t: found[t][0] for t in kinds},
+        witnesses={t: affine_cert.term if t == AFFINE else found[t][1] for t in kinds},
         affine_cert=affine_cert,
         semilattice_orientations=sl_orients,
-        strict=strict,
+        strict=STRICT[kinds[0]] if kinds else None,
     )
 
 

@@ -31,7 +31,9 @@ Thin edges refine thick ones to ordered pairs of elements with witness
 operations acting on the elements themselves: a <= b when f(a,b)=f(b,a)=b.
 Majority and affine thin edges (``is_thin``) differ only in the unified
 operation and the argument rows its witness maps to b; they additionally
-require the generated-subalgebra conditions and an explicit witness term.
+require the generated-subalgebra conditions, read from the edge graph's
+carriers, and an explicit witness term.  ``all_thin_edges`` decides each
+ordered pair once, and ``thin_counterpart`` reads its answers.
 
 Every witness term, here and across algebras (``witness_majority_triple``,
 ``witness_mixed``), comes from ``subpower.find_term``: the term, None when
@@ -64,6 +66,7 @@ from .edges import (
     AFFINE,
     MAJORITY,
     SEMILATTICE,
+    STRICT,
     STRICT_AFFINE,
     STRICT_MAJORITY,
     STRICT_SEMILATTICE,
@@ -76,8 +79,6 @@ from .subpower import (
     DEFAULT_BUDGET,
     closure_search,
     find_term,
-    generate_subuniverse,
-    member_with_witness,
 )
 
 
@@ -600,31 +601,29 @@ def thin_semilattice_edges(alg: Algebra, fprime: OpTable) -> list[ThinEdge]:
     return out
 
 
-def _theta_blocks_tuple(e: EdgeInfo, kind: str) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(b) for b in e.theta_blocks(kind))
-
-
 def is_thin(
     kind: str,
-    alg: Algebra,
+    graph: EdgeGraph,
     a: int,
     b: int,
-    e: EdgeInfo,
     ops: UnifiedOps,
     budget: ClosureBudget = DEFAULT_BUDGET,
 ):
     """ThinEdge if (a, b) is a thin ``kind`` edge (majority or affine), None
     if not, UNKNOWN if a capped search left it open.
 
-    ``e`` is the classification of the pair in either orientation.  Each
-    kind has a unified operation and argument rows: g with (a,b,b),
+    Each kind has a unified operation and argument rows: g with (a,b,b),
     (b,a,b), (b,b,a) for majority, h with (b,a,a), (a,a,b) for affine.
     Conditions: (a) the pair is a ``kind`` edge with minimal witnessing
     congruence theta; (b) every c in b's theta-block satisfies
-    b in Sg{a, c}; (c) the unified operation maps the first row to b;
+    b in Sg{a, c}, the carrier of the pair (a, c) (c != a, as theta
+    separates a from b); (c) the unified operation maps the first row to b;
     (d) a ternary term g' or h' maps every row to b, found as membership of
     (b, ..., b) in the subpower generated by the columns of the rows.
+    Every pair is read from ``graph``, in either orientation; only (d)
+    searches, under ``budget``.
     """
+    alg, e = graph.alg, graph.edge(a, b)
     if kind == MAJORITY:
         op, rows = "g", ((a, b, b), (b, a, b), (b, b, a))
     else:
@@ -633,36 +632,32 @@ def is_thin(
         return UNKNOWN if kind in e.unknown_types else None
     if getattr(ops, op)(*rows[0]) != b:
         return None
-    for c in sorted(set(e.block_of(kind, b))):
-        su = generate_subuniverse(alg, 1, [(a,), (c,)], budget=budget, derivations=False, target=(b,))
-        found, _ = member_with_witness(su, (b,))
-        if found is UNKNOWN:
-            return UNKNOWN
-        if found is False:
-            return None
+    if any(b not in graph.edge(a, c).carrier for c in e.block_of(kind, b)):
+        return None
     term = find_term(alg, len(rows), list(zip(*rows)), (b,) * len(rows), budget)
     if term is None or term is UNKNOWN:
         return term
     table = term_table(alg, term, 3, name=f"{op}'")
     if any(table(*row) != b for row in rows):
         raise VerificationError(f"{kind} thin-edge witness fails its defining equalities")
-    return ThinEdge(alg, kind, a, b, table, term, _theta_blocks_tuple(e, kind))
+    return ThinEdge(alg, kind, a, b, table, term, tuple(map(tuple, e.theta_blocks(kind))))
 
 
-def _find_thin(graph: EdgeGraph, src: int, dst: int, ops: UnifiedOps, budget, kind: str):
-    """First b' in dst's theta-block, in increasing order, with (src, b') thin."""
+def _find_thin(graph: EdgeGraph, src: int, dst: int, kind: str, decide):
+    """First b' in dst's theta-block, in increasing order, whose decision
+    ``decide(b')`` for (src, b') is a ThinEdge; UNKNOWN if an earlier is."""
     edge = graph.edge(src, dst)
     if kind not in edge.types:
         return None
     for bprime in sorted(edge.block_of(kind, dst)):
         if bprime == src:
             continue
-        res = is_thin(kind, graph.alg, src, bprime, graph.edge(src, bprime), ops, budget)
+        res = decide(bprime)
         if isinstance(res, ThinEdge):
             return res
         if res is UNKNOWN:
             return UNKNOWN
-    if edge.strict == {MAJORITY: STRICT_MAJORITY, AFFINE: STRICT_AFFINE}[kind]:
+    if edge.strict == STRICT[kind]:
         raise VerificationError(f"strict {kind} edge ({src},{dst}) has no thin counterpart")
     return None
 
@@ -677,14 +672,14 @@ def find_thin_majority(
     thin-counterpart guarantee and raises; for non-strict majority edges the
     result may be absent.
     """
-    return _find_thin(graph, src, dst, ops, budget, MAJORITY)
+    return _find_thin(graph, src, dst, MAJORITY, lambda c: is_thin(MAJORITY, graph, src, c, ops, budget))
 
 
 def find_thin_affine(
     graph: EdgeGraph, src: int, dst: int, ops: UnifiedOps, budget: ClosureBudget = DEFAULT_BUDGET
 ):
     """Search b' in dst's theta-block with (src, b') a thin affine edge."""
-    return _find_thin(graph, src, dst, ops, budget, AFFINE)
+    return _find_thin(graph, src, dst, AFFINE, lambda c: is_thin(AFFINE, graph, src, c, ops, budget))
 
 
 def all_thin_edges(
@@ -692,23 +687,27 @@ def all_thin_edges(
     ops: UnifiedOps,
     fprime: OpTable,
     budget: ClosureBudget = DEFAULT_BUDGET,
-) -> tuple[list[ThinEdge], bool]:
+) -> tuple[list[ThinEdge], frozenset]:
     """Every thin edge of every kind, over all ordered pairs of ``graph``,
-    and whether any search was capped (so that thin edges may be missing)."""
-    alg = graph.alg
-    out = thin_semilattice_edges(alg, fprime)
-    capped = False
-    for a in range(alg.size):
-        for b in range(alg.size):
-            if a == b:
-                continue
-            info = graph.edge(a, b)
-            for kind in (MAJORITY, AFFINE):
-                res = is_thin(kind, alg, a, b, info, ops, budget)
-                if isinstance(res, ThinEdge):
-                    out.append(res)
-                capped |= res is UNKNOWN
-    return out, capped
+    and the ``(kind, src, dst)`` triples a capped search left undecided, so
+    that thin edges may be missing.  The suites decide thin pairs only here."""
+    out = thin_semilattice_edges(graph.alg, fprime)
+    undecided = set()
+    for a, b in itertools.permutations(range(graph.alg.size), 2):
+        for kind in (MAJORITY, AFFINE):
+            res = is_thin(kind, graph, a, b, ops, budget)
+            if isinstance(res, ThinEdge):
+                out.append(res)
+            elif res is UNKNOWN:
+                undecided.add((kind, a, b))
+    return out, frozenset(undecided)
+
+
+def thin_counterpart(graph: EdgeGraph, thin, undecided: frozenset, src: int, dst: int, kind: str):
+    """``find_thin_majority`` or ``find_thin_affine`` for ``kind``, read from
+    the output ``(thin, undecided)`` of ``all_thin_edges`` without searching."""
+    answers = dict.fromkeys(undecided, UNKNOWN) | {(t.kind, t.src, t.dst): t for t in thin}
+    return _find_thin(graph, src, dst, kind, lambda c: answers.get((kind, src, c)))
 
 
 # ---------------------------------------------------------------------------

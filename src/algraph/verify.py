@@ -18,13 +18,26 @@ closure may exceed any practical budget on algebras that admit type 1.
 from __future__ import annotations
 
 import functools
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Iterator
 
+import numpy as np
+
 from .congruence import all_tolerances, is_class_subuniverse, tolerance_classes
-from .core import Algebra, AlgebraError, OpTable, UNKNOWN, VerificationError, serialize_algebra
+from .core import (
+    UNKNOWN,
+    Algebra,
+    AlgebraError,
+    OpTable,
+    VerificationError,
+    argument_grids,
+    serialize_algebra,
+)
 from .edges import (
+    AFFINE,
+    MAJORITY,
     SEMILATTICE,
     STRICT_AFFINE,
     STRICT_MAJORITY,
@@ -43,10 +56,9 @@ from .thin import (
     UnifiedOps,
     all_thin_edges,
     check_identities,
-    find_thin_affine,
-    find_thin_majority,
     good_f,
     synth_unified,
+    thin_counterpart,
     verify_thick_thin,
 )
 
@@ -92,7 +104,7 @@ class Analysis:
         self._graph: EdgeGraph | None = None
         self._unified: UnifiedOps | None = None
         self._fprime: OpTable | None = None
-        self._thin: tuple[list, bool] | None = None
+        self._thin: tuple[list, frozenset] | None = None
         self._taylor: bool | None = None
 
     def taylor(self) -> bool:
@@ -115,8 +127,9 @@ class Analysis:
             self._fprime = good_f(self.alg, self.unified(), self.budget)
         return self._fprime
 
-    def thin(self) -> tuple[list, bool]:
-        """The thin edges, and whether a capped search may have missed some."""
+    def thin(self) -> tuple[list, frozenset]:
+        """The thin edges, and the ``(kind, src, dst)`` triples a capped
+        search left undecided; a non-empty set may hide thin edges."""
         if self._thin is None:
             self._thin = all_thin_edges(self.graph(), self.unified(), self.fprime(), self.budget)
         return self._thin
@@ -164,12 +177,14 @@ def check_connectedness(ana: Analysis):
 @_suite("uniform", gated=True)
 def check_uniform(ana: Analysis):
     """Unified f, g, h meeting the whole per-edge condition matrix, as
-    recorded in ``UnifiedOps.provenance`` when the matrix was evaluated."""
+    recorded in ``UnifiedOps.provenance`` when the matrix was evaluated.
+    The matrix covers only the classified edges: with a pair of unknown
+    type, a matrix that holds is ``unknown``."""
     matrix = ana.unified().provenance
     detail = {"conditions": {f"{k[0]}:{k[1]}": v for k, v in sorted(matrix.items())}}
     first_fail = next((k for k, ok in matrix.items() if not ok), None)
     if first_fail is None:
-        return "pass", detail
+        return ("unknown" if ana.graph().has_unknown() else "pass"), detail
     detail["first_failure"] = list(first_fail[0]) + [first_fail[1]]
     return "fail", detail
 
@@ -196,31 +211,26 @@ def check_good_op(ana: Analysis):
 def check_thin(ana: Analysis):
     """Thin counterparts for strict majority and affine edges, the
     thick-to-thin property for semilattice edges, and connectivity of the
-    graph without non-trivially witnessed semilattice edges."""
+    graph without non-trivially witnessed semilattice edges.  The graph is
+    only known to be disconnected when no pair has a type left unknown."""
     alg = ana.alg
-    ops = ana.unified()
-    fp = ana.fprime()
     graph = ana.graph()
-    finders = {
-        STRICT_MAJORITY: ("thin-majority", find_thin_majority),
-        STRICT_AFFINE: ("thin-affine", find_thin_affine),
-    }
+    thin, undecided = ana.thin()
     failures = []
     unknown = False
     for e in graph.edge_list():
-        if e.strict not in finders:
+        kind = {STRICT_MAJORITY: MAJORITY, STRICT_AFFINE: AFFINE}.get(e.strict)
+        if kind is None:
             continue
-        claim, find = finders[e.strict]
         # (b, a) classifies like (a, b): both orientations read the stored pair
         for src, dst in ((e.a, e.b), (e.b, e.a)):
             try:
-                res = find(graph, src, dst, ops, ana.budget)
+                res = thin_counterpart(graph, thin, undecided, src, dst, kind)
             except VerificationError as ex:
-                failures.append({"edge": [src, dst], "claim": claim, "error": str(ex)})
+                failures.append({"edge": [src, dst], "claim": f"thin-{kind}", "error": str(ex)})
                 continue
-            if res is UNKNOWN:
-                unknown = True
-    for fail in verify_thick_thin(alg, graph.edge_list(), fp):
+            unknown |= res is UNKNOWN
+    for fail in verify_thick_thin(alg, graph.edge_list(), ana.fprime()):
         failures.append({"edge": list(fail[0]), "claim": "thick-to-thin", "error": fail[1]})
     # dropping semilattice edges with nontrivial witness keeps the graph connected
     kept = [
@@ -229,7 +239,10 @@ def check_thin(ana: Analysis):
         if e.types != {SEMILATTICE} or e.theta[SEMILATTICE].is_equality()
     ]
     if not edges_connect(range(alg.size), kept):
-        failures.append({"claim": "trimmed-graph-connectivity", "error": "disconnected"})
+        if graph.has_unknown():
+            unknown = True
+        else:
+            failures.append({"claim": "trimmed-graph-connectivity", "error": "disconnected"})
     if failures:
         return "fail", {"failures": failures}
     return ("unknown" if unknown else "pass"), {}
@@ -241,9 +254,9 @@ def check_as_connectivity(ana: Analysis):
 
     A missing path is ``unknown`` when a capped search may have missed a
     thin edge."""
-    thin, capped = ana.thin()
+    thin, undecided = ana.thin()
     rep = verify_as_connectivity(ana.alg, thin)
-    status = "unknown" if rep["status"] == "fail" and capped else rep["status"]
+    status = "unknown" if rep["status"] == "fail" and undecided else rep["status"]
     return status, {"maximal": rep["maximal"], "failures": rep["failures"]}
 
 
@@ -258,7 +271,7 @@ def check_reduct(ana: Analysis, edge_pair=None):
             if edge_pair is None or (e.a, e.b) == tuple(sorted(edge_pair)):
                 edges.append(e)
     if not edges:
-        return "skipped", {"reason": "no qualifying edge"}
+        return ("unknown" if graph.has_unknown() else "skipped"), {"reason": "no qualifying edge"}
     slices = (term_slice(alg, 2, ana.budget), term_slice(alg, 3, ana.budget))
     results = []
     worst = "pass"
@@ -356,29 +369,14 @@ SIGNATURES = {
 }
 
 
-def _free_cells(size: int, arity: int) -> list[int]:
-    """Flat indices of the off-diagonal table cells, in table order."""
-    out = []
-    for idx in range(size**arity):
-        rest, digits = idx, []
-        for _ in range(arity):
-            digits.append(rest % size)
-            rest //= size
-        if len(set(digits)) > 1:
-            out.append(idx)
-    return out
-
-
 def count_idempotent_algebras(size: int, signature: str) -> int:
-    arities = SIGNATURES[signature][0]
-    total = 1
-    for ar in arities:
-        total *= size ** len(_free_cells(size, ar))
-    return total
+    return math.prod(size ** (size**ar - size) for ar in SIGNATURES[signature][0])
 
 
 def idempotent_algebra(size: int, signature: str, index: int) -> Algebra:
-    """The index-th idempotent algebra, lexicographic on free table cells."""
+    """The index-th idempotent algebra: the base-``size`` digits of ``index``,
+    most significant first, fill the off-diagonal cells of each operation in
+    turn, in table order."""
     if signature not in SIGNATURES:
         raise AlgebraError(f"unknown signature {signature!r}; known: {sorted(SIGNATURES)}")
     if size not in (2, 3):
@@ -387,28 +385,16 @@ def idempotent_algebra(size: int, signature: str, index: int) -> Algebra:
     total = count_idempotent_algebras(size, signature)
     if not 0 <= index < total:
         raise AlgebraError(f"index {index} out of range [0, {total})")
+    free = sum(size**ar - size for ar in arities)
+    digits = [index // size**i % size for i in reversed(range(free))]
     ops = []
-    names = {2: "f", 3: "g"}
-    rest = index
-    chunks = []
-    for ar in reversed(arities):
-        cells = _free_cells(size, ar)
-        block = size ** len(cells)
-        chunks.append((ar, cells, rest % block))
-        rest //= block
-    for ar, cells, code in reversed(chunks):
-        vals = [0] * (size**ar)
-        for idx in range(size**ar):
-            r, digits = idx, []
-            for _ in range(ar):
-                digits.append(r % size)
-                r //= size
-            if len(set(digits)) == 1:
-                vals[idx] = digits[0]
-        for cell in reversed(cells):
-            vals[cell] = code % size
-            code //= size
-        ops.append(OpTable(names[ar], ar, size, vals))
+    for ar in arities:
+        grids = argument_grids(size, ar)
+        off = (grids != grids[0]).any(axis=0)
+        vals = grids[0].astype(np.int64)
+        vals[off] = digits[: size**ar - size]
+        del digits[: size**ar - size]
+        ops.append(OpTable({2: "f", 3: "g"}[ar], ar, size, vals))
     return Algebra(f"{signature[0]}{size}_{index}", size, ops)
 
 

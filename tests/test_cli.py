@@ -86,6 +86,22 @@ def test_thin_exits_3_on_unknown_edge_types(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("command", ["edges", "graph", "verify"])
+def test_capped_pair_carrier_exits_3(command, capsys):
+    """Under --cap 2 the pair carriers of Z3A stay exact; the capped witness
+    searches leave the types unknown, not the input malformed."""
+    code, _ = run(capsys, command, str(DATA / "Z3A.alg"), "--cap", "2")
+    assert code == 3
+
+
+def test_verify_capped_graph_exits_3(capsys):
+    """M2's graph is disconnected under --cap 3 only because its one pair has
+    unknown type: no suite is a counterexample."""
+    code, out = run(capsys, "verify", str(DATA / "M2.alg"), "--cap", "3")
+    assert code == 3
+    assert "fail" not in {r["status"] for r in json.loads(out)["reports"]}
+
+
 def test_thin_exits_3_on_a_capped_thin_search(monkeypatch, capsys):
     monkeypatch.setattr(algraph.thin, "find_term", lambda *args: UNKNOWN)
     code, _ = run(capsys, "thin", str(DATA / "A2.alg"))

@@ -12,6 +12,7 @@ from algraph.core import (
     argument_grids,
     evaluate_term,
     flat_index,
+    product_algebra,
     quotient_algebra,
     subalgebra_induced,
     term_table,
@@ -283,38 +284,50 @@ def test_subalgebra_graph_is_restriction(populations):
             _assert_subgraphs_are_restrictions(ana)
 
 
-def test_theta_minimality(algs):
-    """No strictly finer congruence of Sg{a,b} witnesses the same type."""
-    from algraph.congruence import all_congruences
-    from algraph.core import quotient_algebra
+def _witnesses(kind, e, theta):
+    """Does the quotient of Sg{a,b} by theta witness ``kind`` on the pair?"""
+    Q, bmap = quotient_algebra(e.sub, theta)
+    ab, bb = bmap[e.a_loc], bmap[e.b_loc]
+    if kind == SEMILATTICE:
+        return semilattice_witness(Q, ab, bb) is not None or semilattice_witness(Q, bb, ab) is not None
+    if kind == MAJORITY:
+        return majority_witness(Q, ab, bb) is not None
+    return affine_certificates(Q)[0] is not None
 
+
+def test_theta_minimality(algs):
+    """theta[t] is the first congruence of Sg{a,b}, in ``all_congruences``
+    order, that separates a from b and witnesses t: so no strictly finer
+    congruence witnesses t, and among the minimal ones it is the first."""
     alg = algs["S3chain"]
     e = classify_pair(alg, 0, 2)
     theta = e.theta[SEMILATTICE]
     assert theta.is_equality()  # 0,2 generate {0,2} and the equality witnesses
 
-    for name in ("S2", "M2", "A2", "Z3A", "RPS", "S3chain"):
-        a = algs[name]
+    products = [
+        product_algebra([algs["S2"], algs["S2"]]),
+        product_algebra([algs["S3chain"], algs["S2"]]),
+    ]
+    for a in [algs[name] for name in ("S2", "M2", "A2", "Z3A", "RPS", "S3chain")] + products:
         for x in range(a.size):
             for y in range(x + 1, a.size):
                 e = classify_pair(a, x, y)
                 for kind, theta in e.theta.items():
-                    for finer in all_congruences(e.sub):
-                        if finer == theta or not finer.refines(theta):
-                            continue
-                        if finer.same(e.a_loc, e.b_loc):
-                            continue
-                        Q, bmap = quotient_algebra(e.sub, finer)
-                        ab, bb = bmap[e.a_loc], bmap[e.b_loc]
-                        if kind == SEMILATTICE:
-                            assert (
-                                semilattice_witness(Q, ab, bb) is None
-                                and semilattice_witness(Q, bb, ab) is None
-                            )
-                        elif kind == MAJORITY:
-                            assert majority_witness(Q, ab, bb) is None
-                        else:
-                            assert affine_certificates(Q)[0] is None
+                    assert not theta.same(e.a_loc, e.b_loc) and _witnesses(kind, e, theta)
+                    cons = all_congruences(e.sub)
+                    for before in cons[: cons.index(theta)]:
+                        if not before.same(e.a_loc, e.b_loc):
+                            assert not _witnesses(kind, e, before), (a.name, x, y, kind)
+
+
+def test_capped_pair_carrier_leaves_types_unknown(algs):
+    """Sg(a,b) is closed whatever the budget; the capped witness searches
+    leave every type of every pair of Z3A unknown."""
+    graph = edge_graph(algs["Z3A"], ClosureBudget(max_elements=2))
+    for e in graph.edges.values():
+        assert e.carrier == (0, 1, 2)
+        assert e.types == frozenset()
+        assert e.unknown_types == {SEMILATTICE, MAJORITY, AFFINE}
 
 
 def test_edge_graph_fixtures(algs, pipelines):

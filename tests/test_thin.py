@@ -27,6 +27,7 @@ from algraph.thin import (
     good_f,
     is_thin,
     synth_unified,
+    thin_counterpart,
     thin_semilattice_edges,
     unified_conditions,
     verify_thick_thin,
@@ -250,7 +251,7 @@ def test_find_thin_majority(pipelines):
     assert (thin.src, thin.dst) == (0, 1)
     assert thin.witness(0, 1, 1) == 1 and thin.witness(1, 0, 1) == 1 and thin.witness(1, 1, 0) == 1
     # symmetric orientation
-    rev = is_thin(MAJORITY, p.alg, 1, 0, p.graph.edge(0, 1), p.ops)
+    rev = is_thin(MAJORITY, p.graph, 1, 0, p.ops)
     assert isinstance(rev, ThinEdge)
     # the reversed orientation is read from the stored pair (0, 1)
     back = find_thin_majority(p.graph, 1, 0, p.ops)
@@ -274,6 +275,41 @@ def test_find_thin_affine(pipelines):
     assert back.witness(0, 2, 2) == 0 and back.witness(2, 2, 0) == 0
     s2 = pipelines["S2"]
     assert find_thin_affine(s2.graph, 0, 1, s2.ops) is None
+
+
+def _outcome(find, *args):
+    """A thin-edge search's answer, comparable across searches: the edge's
+    kind, ends, witness table, term and theta blocks, or the raised error."""
+    try:
+        res = find(*args)
+    except VerificationError as ex:
+        return "raised", str(ex)
+    if isinstance(res, ThinEdge):
+        return res.kind, res.src, res.dst, res.witness.values.tobytes(), str(res.witness_term), res.theta_blocks
+    return res
+
+
+def test_thin_counterpart_agrees_with_search(populations):
+    """Reading all_thin_edges' answers gives what searching again gives, for
+    every strict majority and affine edge in both orientations."""
+    finders = {STRICT_MAJORITY: (MAJORITY, find_thin_majority), STRICT_AFFINE: (AFFINE, find_thin_affine)}
+    checked = 0
+    for ana in populations["fixtures"] + populations["b3"]:
+        if not ana.taylor():
+            continue
+        graph, ops = ana.graph(), ana.unified()
+        thin, undecided = ana.thin()
+        assert undecided == frozenset()
+        for e in graph.edge_list():
+            if e.strict not in finders:
+                continue
+            kind, find = finders[e.strict]
+            for src, dst in ((e.a, e.b), (e.b, e.a)):
+                assert _outcome(thin_counterpart, graph, thin, undecided, src, dst, kind) == _outcome(
+                    find, graph, src, dst, ops
+                ), (ana.alg.name, src, dst)
+                checked += 1
+    assert checked > 40
 
 
 def test_all_thin_edges_fixtures(pipelines):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 import algraph.reduct
@@ -16,6 +18,7 @@ from algraph.verify import (
     check_thin,
     check_tolerance_classes,
     check_uniform,
+    count_idempotent_algebras,
     idempotent_algebra,
     run_suite,
 )
@@ -82,7 +85,7 @@ def test_check_thin_raises_programming_errors(algs, monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("bug")
 
-    monkeypatch.setattr(algraph.verify, "find_thin_majority", broken)
+    monkeypatch.setattr(algraph.verify, "thin_counterpart", broken)
     with pytest.raises(TypeError, match="bug"):
         check_thin(Analysis(algs["M2"]))
 
@@ -134,3 +137,65 @@ def test_check_reduct_builds_slices_once(algs, monkeypatch):
     assert rep.status == "pass"
     assert len(rep.detail["edges"]) >= 2
     assert sorted(calls) == [2, 3]
+
+
+@pytest.mark.parametrize(
+    "size, signature", [(2, "binary"), (2, "ternary"), (2, "binary+ternary"), (3, "binary")]
+)
+def test_idempotent_algebra_matches_product_order(size, signature):
+    """The index-th algebra fills the off-diagonal cells of its operations,
+    first operation first and each in table order, with the index-th tuple
+    of ``itertools.product``; the diagonal is x."""
+    arities = (2, 3) if signature == "binary+ternary" else ((2,) if signature == "binary" else (3,))
+    cells = [
+        (ar, pos)
+        for ar in arities
+        for pos, args in enumerate(itertools.product(range(size), repeat=ar))
+        if len(set(args)) > 1
+    ]
+    fill = list(itertools.product(range(size), repeat=len(cells)))
+    assert count_idempotent_algebras(size, signature) == len(fill)
+    for index, digits in enumerate(fill):
+        want = {ar: [args[0] for args in itertools.product(range(size), repeat=ar)] for ar in arities}
+        for (ar, pos), d in zip(cells, digits):
+            want[ar][pos] = d
+        alg = idempotent_algebra(size, signature, index)
+        assert alg.name == f"{signature[0]}{size}_{index}"
+        assert [(op.name, op.arity, op.values.tolist()) for op in alg.ops] == [
+            ({2: "f", 3: "g"}[ar], ar, want[ar]) for ar in arities
+        ]
+
+
+@pytest.mark.parametrize("cap", [2, 3, 4, 6, 10, 30])
+def test_capped_fixtures_never_fail(cap, algs):
+    """A cap leaves answers unknown; it never turns one into a counterexample."""
+    for alg in algs.values():
+        reports = run_suite(alg, "all", ClosureBudget(max_elements=cap))
+        assert [(r.theorem, r.detail) for r in reports if r.status == "fail"] == [], alg.name
+
+
+def test_capped_graph_suites_are_unknown(algs):
+    """With a pair of unknown type the trimmed graph, the uniform matrix and
+    the absence of reduct edges decide nothing."""
+    reports = {r.theorem: r for r in run_suite(algs["M2"], "all", ClosureBudget(max_elements=3))}
+    assert reports["thin"].status == "unknown"
+    assert reports["uniform"].status == "unknown"
+    assert (reports["reduct"].status, reports["reduct"].detail) == (
+        "unknown",
+        {"reason": "no qualifying edge"},
+    )
+
+
+def test_is_thin_runs_once_per_ordered_pair_and_kind(algs, monkeypatch):
+    """The thin suite reads the thin edges that as-connectivity uses."""
+    calls = []
+    original = algraph.thin.is_thin
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(algraph.thin, "is_thin", counting)
+    reports = run_suite(algs["Z3A"], ("thin", "as-connectivity"))
+    assert [r.status for r in reports] == ["pass", "pass"]
+    assert len(calls) == 2 * 3 * 2
