@@ -92,6 +92,20 @@ def _edge_payload(graph) -> list[dict]:
     return out
 
 
+def _thin_payload(args, alg: Algebra, thin, witness: bool = False) -> list[dict]:
+    """The thin edges sorted by (from, to, kind), with their witness terms
+    when asked; the graph of all of them goes to --dot when given."""
+    if args.dot:
+        Path(args.dot).write_text(export_dot(build_oriented_graph(alg, thin, "all"), name=alg.name))
+    out = []
+    for t in sorted(thin, key=lambda t: (t.src, t.dst, t.kind)):
+        entry = {"kind": t.kind, "from": t.src, "to": t.dst}
+        if witness:
+            entry["witness"] = str(t.witness_term) if t.witness_term is not None else None
+        out.append(entry)
+    return out
+
+
 def cmd_check(args) -> int:
     alg = _load(args.file)
     budget = _budget(args)
@@ -127,14 +141,10 @@ def cmd_graph(args) -> int:
     payload = {
         "algebra": alg.name,
         "pairs": _edge_payload(graph),
-        "thin_edges": [
-            {"kind": t.kind, "from": t.src, "to": t.dst} for t in sorted(thin, key=lambda t: (t.src, t.dst, t.kind))
-        ],
+        "thin_edges": _thin_payload(args, alg, thin),
         "maximal": rep["maximal"],
         "as_components": rep["as_components"],
     }
-    if args.dot:
-        Path(args.dot).write_text(export_dot(build_oriented_graph(alg, thin, "all"), name=alg.name))
     _emit(args, payload)
     return EXIT_UNKNOWN if capped or graph.has_unknown() else EXIT_PASS
 
@@ -146,18 +156,8 @@ def cmd_thin(args) -> int:
     payload = {
         "algebra": alg.name,
         "good_f": [int(v) for v in fp.values],
-        "thin_edges": [
-            {
-                "kind": t.kind,
-                "from": t.src,
-                "to": t.dst,
-                "witness": str(t.witness_term) if t.witness_term is not None else None,
-            }
-            for t in sorted(thin, key=lambda t: (t.src, t.dst, t.kind))
-        ],
+        "thin_edges": _thin_payload(args, alg, thin, witness=True),
     }
-    if args.dot:
-        Path(args.dot).write_text(export_dot(build_oriented_graph(alg, thin, "all"), name=alg.name))
     _emit(args, payload)
     return EXIT_UNKNOWN if capped or ana.graph().has_unknown() else EXIT_PASS
 
@@ -260,12 +260,7 @@ def cmd_enumerate(args) -> int:
             alg = idempotent_algebra(args.size, args.signature, f["index"])
             (outdir / f"{alg.name}.alg").write_text(serialize_algebra(alg))
     _emit(args, agg)
-    counts = agg["counts"]
-    if counts["fail"]:
-        return EXIT_FAIL
-    if counts["unknown"]:
-        return EXIT_UNKNOWN
-    return EXIT_PASS
+    return _status_exit([status for status, count in agg["counts"].items() if count])
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -5,6 +5,19 @@ plus affine (as), semilattice plus majority (sm), and everything (all).
 Maximal elements are those in the maximal strongly connected components of
 the semilattice graph; as-maximal ones come from the semilattice+affine
 graph.
+
+Two traversals answer every question.  ``_distances`` runs a breadth-first
+search from every vertex and gives the arc count of a shortest path to each
+vertex it reaches, which is cheap on graphs of an algebra's few elements.
+``components`` reads it: a vertex's component is labelled by the least
+vertex that it reaches and that reaches it, and one component is below
+another when some member of the first reaches the second.
+``depth_and_sdistance`` reads the distances from each element to the
+members of the maximal components.  ``_path`` is one breadth-first search
+with back pointers, over thin arcs for ``path_query`` and over
+tolerance-adjacent maximal elements for ``verify_going_maximal``; each
+caller fixes the order in which the steps out of a vertex are tried, and
+that order decides ties between shortest paths.
 """
 
 from __future__ import annotations
@@ -79,83 +92,61 @@ def build_oriented_graph(alg: Algebra, thin_edges: Sequence[ThinEdge], kind: str
     return OrientedThinGraph(alg.size, arcs, kind)
 
 
-def components(g: OrientedThinGraph) -> ComponentOrder:
-    """Tarjan SCC (iterative) plus condensation reachability."""
-    n = g.n
-    adj: list[list[int]] = [[] for _ in range(n)]
+def _distances(g: OrientedThinGraph) -> list[dict[int, int]]:
+    """dist[u][v]: the arc count of a shortest path from u to v, for every v
+    that u reaches (u itself at 0), by a breadth-first search from each u."""
+    adj: list[list[int]] = [[] for _ in range(g.n)]
     for a in g.arcs:
         adj[a.src].append(a.dst)
-    for row in adj:
-        row.sort()
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comp = [-1] * n
-    counter = 0
-    comps: list[list[int]] = []
+    dist = []
+    for u in range(g.n):
+        du = {u: 0}
+        frontier = [u]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for w in adj[v]:
+                    if w not in du:
+                        du[w] = du[v] + 1
+                        nxt.append(w)
+            frontier = nxt
+        dist.append(du)
+    return dist
 
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for j in range(pi, len(adj[v])):
-                w = adj[v][j]
-                if index[w] == -1:
-                    work[-1] = (v, j + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            if low[v] == index[v]:
-                scc = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    scc.append(w)
-                    if w == v:
-                        break
-                comps.append(sorted(scc))
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
 
-    cid = [0] * n
-    for scc in comps:
-        label = min(scc)
-        for v in scc:
-            cid[v] = label
-    # condensation reachability by BFS from each component
-    comp_adj: dict[int, set[int]] = {min(s): set() for s in comps}
-    for a in g.arcs:
-        c1, c2 = cid[a.src], cid[a.dst]
-        if c1 != c2:
-            comp_adj[c1].add(c2)
-    order = set()
-    for c in comp_adj:
-        seen = set()
-        dq = deque(comp_adj[c])
-        while dq:
-            d = dq.popleft()
-            if d in seen:
+def _path(start: int, steps, is_goal):
+    """Breadth-first path from ``start`` to the first vertex found that
+    passes ``is_goal``; ``steps(v)`` yields (w, label) for the arcs out of v
+    in the order they are tried.  Returns (vertices, labels), the trivial
+    ([start], []) when start passes, or None."""
+    if is_goal(start):
+        return [start], []
+    prev: dict[int, tuple[int, object] | None] = {start: None}
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        for w, label in steps(v):
+            if w in prev:
                 continue
-            seen.add(d)
-            dq.extend(comp_adj[d])
-        for d in seen:
-            order.add((c, d))
-    return ComponentOrder(tuple(cid), frozenset(order))
+            prev[w] = (v, label)
+            if is_goal(w):
+                verts, labels = [w], []
+                while prev[w] is not None:
+                    w, label = prev[w]
+                    verts.append(w)
+                    labels.append(label)
+                return verts[::-1], labels[::-1]
+            queue.append(w)
+    return None
+
+
+def components(g: OrientedThinGraph) -> ComponentOrder:
+    """Strongly connected components, each labelled by its least member, and
+    the reachability order between them."""
+    dist = _distances(g)
+    cid = tuple(min(v for v in dist[u] if u in dist[v]) for u in range(g.n))
+    order = frozenset((cid[u], cid[v]) for u in range(g.n) for v in dist[u] if cid[u] != cid[v])
+    return ComponentOrder(cid, order)
 
 
 def max_elements(alg: Algebra, thin_edges: Sequence[ThinEdge], kind: str = "s") -> list[int]:
@@ -174,33 +165,10 @@ def path_query(
     """Shortest directed path from a to b through admitted kinds.
 
     Returns (vertices, arc kinds) or None; the trivial path is ([a], [])
-    when a == b.
+    when a == b.  Ties go to the least (vertex, kind) at each step.
     """
     g = build_oriented_graph(alg, thin_edges, kind)
-    if a == b:
-        return [a], []
-    prev: dict[int, tuple[int, str]] = {}
-    seen = {a}
-    dq = deque([a])
-    while dq:
-        v = dq.popleft()
-        for w, k in sorted(g.successors(v)):
-            if w in seen:
-                continue
-            prev[w] = (v, k)
-            if w == b:
-                verts = [b]
-                kinds = []
-                cur = b
-                while cur != a:
-                    p, kk = prev[cur]
-                    verts.append(p)
-                    kinds.append(kk)
-                    cur = p
-                return list(reversed(verts)), list(reversed(kinds))
-            seen.add(w)
-            dq.append(w)
-    return None
+    return _path(a, lambda v: sorted(g.successors(v)), lambda v: v == b)
 
 
 def depth_and_sdistance(alg: Algebra, thin_edges: Sequence[ThinEdge]) -> dict[int, int | None]:
@@ -209,26 +177,12 @@ def depth_and_sdistance(alg: Algebra, thin_edges: Sequence[ThinEdge]) -> dict[in
     distance to that component.  None marks elements reaching no maximal
     component (possible only with a foreign maximal set)."""
     g = build_oriented_graph(alg, thin_edges, "s")
+    dist = _distances(g)
     co = components(g)
     maximal = co.maximal_components()
-    dist_to_comp: dict[int, dict[int, int]] = {c: {} for c in maximal}
-    # BFS backwards from each maximal component
-    radj: list[list[int]] = [[] for _ in range(g.n)]
-    for a in g.arcs:
-        radj[a.dst].append(a.src)
-    for c in maximal:
-        dist = {v: 0 for v in co.members(c)}
-        dq = deque(co.members(c))
-        while dq:
-            v = dq.popleft()
-            for w in radj[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    dq.append(w)
-        dist_to_comp[c] = dist
     out: dict[int, int | None] = {}
     for v in range(g.n):
-        ds = [dist_to_comp[c][v] for c in maximal if v in dist_to_comp[c]]
+        ds = [min(dist[v][m] for m in co.members(c)) for c in maximal if c in dist[v]]
         out[v] = max(ds) if ds else None
     return out
 
@@ -295,42 +249,18 @@ def verify_going_maximal(
                 return e
         return None
 
-    # BFS over maximal elements; arcs = tolerance-adjacent with maximal witness
-    start = a
-    prev: dict[int, tuple[int, int]] = {}
-    seen = {start}
-    dq = deque([start])
-    limit = alg.size * alg.size
-    found = None
-    while dq and found is None:
-        v = dq.popleft()
+    def steps(v: int):
+        # arcs: tolerance-adjacent maximal elements with a maximal left witness
         for w in sorted(maxset):
-            if w in seen or not tol.contains(v, w):
-                continue
-            e = left_witness(v, w)
-            if e is None:
-                continue
-            prev[w] = (v, e)
-            if w in bhat:
-                found = w
-                break
-            seen.add(w)
-            dq.append(w)
-    if a in bhat:
-        found = a
+            e = left_witness(v, w) if tol.contains(v, w) else None
+            if e is not None:
+                yield w, e
+
+    found = _path(a, steps, bhat.__contains__)
     if found is None:
         return {"status": "fail", "reason": "no chain of maximal elements found", "a": a, "b": b}
-    chain = [found]
-    witnesses = []
-    cur = found
-    while cur != a:
-        p, e = prev[cur]
-        witnesses.append(e)
-        chain.append(p)
-        cur = p
-    chain.reverse()
-    witnesses.reverse()
-    if len(chain) > limit:
+    chain, witnesses = found
+    if len(chain) > alg.size * alg.size:
         return {"status": "fail", "reason": "chain exceeds bound", "a": a, "b": b}
     return {"status": "pass", "chain": chain, "witnesses": witnesses, "target_component": sorted(bhat)}
 

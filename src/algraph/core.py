@@ -61,10 +61,13 @@ UNKNOWN = _Unknown()
 
 
 def tuple_index(args: Sequence[int], size: int) -> int:
-    """Flat index of an argument tuple, leftmost argument most significant."""
+    """Flat index of an argument tuple, leftmost argument most significant.
+
+    Each argument is taken as a Python int: under numpy 2 a Python int plus
+    a uint8 scalar stays uint8 and would overflow."""
     idx = 0
     for x in args:
-        idx = idx * size + x
+        idx = idx * size + int(x)
     return idx
 
 
@@ -414,14 +417,6 @@ def product_algebra(algs: Sequence[Algebra], name: str | None = None) -> Algebra
             vals = vals * a.size + a.ops[oi].values[flat]
         new_ops.append(OpTable(opname, arity, total, vals))
     return Algebra(name or "x".join(a.name for a in algs), total, new_ops)
-
-
-def product_encode(sizes: Sequence[int], elems: Sequence[int]) -> int:
-    """Encode a tuple of factor elements into a product element."""
-    code = 0
-    for s, e in zip(sizes, elems):
-        code = code * s + e
-    return code
 
 
 # ---------------------------------------------------------------------------

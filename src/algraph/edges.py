@@ -59,6 +59,7 @@ from .core import (
     product_algebra,
     quotient_algebra,
     subalgebra_induced,
+    tuple_index,
 )
 from .subpower import (
     ClosureBudget,
@@ -465,27 +466,22 @@ def has_siggers_term(alg: Algebra, budget: ClosureBudget = DEFAULT_BUDGET):
     pair = product_algebra([alg, alg], name=f"{alg.name}^2")
     coords = [(x, y, z) for x in range(n) for y in range(n) for z in range(n)]
 
-    def enc(l, r):
-        return l * n + r
-
     gens = [
-        [enc(y, x) for (x, y, z) in coords],
-        [enc(x, y) for (x, y, z) in coords],
-        [enc(y, z) for (x, y, z) in coords],
-        [enc(z, y) for (x, y, z) in coords],
+        [tuple_index((y, x), n) for (x, y, z) in coords],
+        [tuple_index((x, y), n) for (x, y, z) in coords],
+        [tuple_index((y, z), n) for (x, y, z) in coords],
+        [tuple_index((z, y), n) for (x, y, z) in coords],
     ]
     diagonal = np.zeros(n * n, dtype=bool)
-    diagonal[[enc(i, i) for i in range(n)]] = True
+    diagonal[[tuple_index((i, i), n) for i in range(n)]] = True
 
     def predicate(rows: np.ndarray) -> np.ndarray:
         return diagonal[rows].all(axis=1)
 
-    hit, status = closure_search(pair, len(coords), gens, predicate, budget)
-    if hit is not None:
-        return True
-    if status == "capped":
+    hit = closure_search(pair, len(coords), gens, predicate, budget)
+    if hit is UNKNOWN:
         return UNKNOWN
-    return False
+    return hit is not None
 
 
 # ---------------------------------------------------------------------------

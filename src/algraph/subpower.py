@@ -55,7 +55,7 @@ A predicate search (``closure_search``) has one rule: the predicate runs on
 each batch of rows as it is appended, in stored order (first the
 generators, then each round's kept new rows, sorted), and the run stops at
 the first batch that holds a passing row.  Its answer is the first passing
-row of the closure in stored order, or none and the closure's status: what
+row of the closure in stored order, else None, or UNKNOWN under a cap: what
 filtering the finished closure would give, at the cost of the rounds up to
 the one that holds that row.
 
@@ -83,6 +83,7 @@ from .core import (
     argument_grids,
     evaluate_term_columns,
     flat_index,
+    tuple_index,
 )
 
 DEFAULT_MAX_ELEMENTS = 4_194_304
@@ -263,10 +264,7 @@ class _RowKeys:
         """The key of one row of A^k."""
         if not self.int_keys:
             return self.keys(self.encode(np.asarray([row], dtype=np.int64)))[0]
-        key = 0
-        for v in row:
-            key = key * self.n + int(v)
-        return key
+        return tuple_index(row, self.n)
 
     def find(self, row: Sequence[int]) -> int | None:
         """Position of a stored row of A^k, or None."""
@@ -778,12 +776,14 @@ def closure_search(
     The predicate maps an (m, k) uint8 array of rows to a boolean mask of
     length m.  It runs on each batch of rows as it is appended, the
     generators first and then each round's new rows, and the run stops at
-    the first batch with a passing row.  Returns (hit_row, status):
-    (row, CAPPED) on a hit, which is definitive; otherwise (None, the
-    status of ``generate_subuniverse(alg, k, gens, budget)``).
+    the first batch with a passing row.  Three-valued, as ``find_term``:
+    the passing row, which is definitive; None when the complete closure
+    has none; or UNKNOWN when a cap cut the closure short.
     """
     gen_rows = _tuples(alg, k, gens, "generator")
     _, _, _, status, hit_row = _closure(
         alg, k, gen_rows, budget, want_derivations=False, row_predicate=row_predicate
     )
-    return hit_row, status
+    if hit_row is None and status == CAPPED:
+        return UNKNOWN
+    return hit_row

@@ -43,7 +43,6 @@ the complete closure lacks the target, or UNKNOWN when a cap cut it short.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -58,7 +57,6 @@ from .core import (
     VerificationError,
     argument_grids,
     product_algebra,
-    product_encode,
     projection,
     term_table,
 )
@@ -74,7 +72,6 @@ from .edges import (
     EdgeInfo,
 )
 from .subpower import (
-    COMPLETE,
     ClosureBudget,
     DEFAULT_BUDGET,
     closure_search,
@@ -331,12 +328,12 @@ def _search(alg: Algebra, arity: int, candidates, check, budget: ClosureBudget):
             return t
     n = alg.size
     shape = (n,) * arity
-    hit, status = closure_search(
+    hit = closure_search(
         alg, n**arity, argument_grids(n, arity), lambda rows: check(rows.reshape(-1, *shape)), budget
     )
-    if hit is not None:
-        return OpTable("s", arity, n, hit)
-    return None if status == COMPLETE else UNKNOWN
+    if hit is None or hit is UNKNOWN:
+        return hit
+    return OpTable("s", arity, n, hit)
 
 
 def _f_candidates(alg: Algebra, edges):
@@ -435,33 +432,12 @@ def synth_unified(alg: Algebra, edges: Sequence[EdgeInfo], budget: ClosureBudget
 
 
 def _unary_idempotent_exponent(maps: np.ndarray) -> int:
-    """Least N with t^N idempotent for every row map t of ``maps`` (n x n)."""
-    n = maps.shape[1]
-
-    def tail_and_period(row) -> tuple[int, int]:
-        # functional graph of a single map on n points
-        powers = [np.arange(n, dtype=np.uint8)]
-        seen = {powers[0].tobytes(): 0}
-        cur = powers[0]
-        while True:
-            cur = row[cur]
-            key = cur.tobytes()
-            if key in seen:
-                mu = seen[key]
-                lam = len(powers) - mu
-                return mu, lam
-            seen[key] = len(powers)
-            powers.append(cur)
-
-    mus, lams = [], []
-    for row in maps:
-        mu, lam = tail_and_period(row)
-        mus.append(max(mu, 1))
-        lams.append(lam)
-    period = math.lcm(*lams) if lams else 1
-    need = max(mus)
-    steps = period * ((need + period - 1) // period)
-    return max(steps, period)
+    """Least N >= 1 with t^N idempotent for every row map t of ``maps`` (n x n)."""
+    power, exponent = maps, 1
+    while not (np.take_along_axis(power, power, axis=1) == power).all():
+        power = np.take_along_axis(maps, power, axis=1)
+        exponent += 1
+    return exponent
 
 
 def _iterate_map(row: np.ndarray, times: int) -> np.ndarray:
@@ -479,8 +455,8 @@ def enforce_identities(ops: UnifiedOps, alg: Algebra) -> UnifiedOps:
         h(h(x,y,y), y, y) = h(x,y,y)
 
     for all x, y, re-verifying the edge condition matrix afterwards.
-    The iterate count is the least common multiple of the per-element
-    periods of the associated unary maps.
+    The iterate count is the least N >= 1 whose N-th power of every
+    associated unary map is idempotent.
     """
     n = alg.size
 
@@ -729,8 +705,8 @@ def _product_witness(
         if a.signature() != sig:
             raise AlgebraError("cross-algebra witnesses need identical signatures")
     sizes = [a.size for a in algs]
-    enc_gens = [(product_encode(sizes, g),) for g in zip(*rows)]
-    enc_target = (product_encode(sizes, target),)
+    enc_gens = [(int(code),) for code in np.ravel_multi_index(tuple(rows), sizes)]
+    enc_target = (int(np.ravel_multi_index(target, sizes)),)
     term = find_term(product_algebra(algs), 1, enc_gens, enc_target, budget)
     if term is UNKNOWN:
         return UNKNOWN

@@ -147,3 +147,23 @@ def affine_certificate_tables(alg):
         return set()
     terms = naive_close(alg, len(triples), [[t[j] for t in triples] for j in range(3)])
     return commuting & terms
+
+
+def brute_distances(n, arcs):
+    """dist[u][v]: the least k such that v is among the vertices u reaches in
+    at most k arcs, for every v that u reaches.  The sets reached in at most
+    k arcs grow by unions over the arcs until a round adds nothing."""
+    within = [{u} for u in range(n)]
+    dist = [{u: 0} for u in range(n)]
+    k = 0
+    while True:
+        k += 1
+        grown = [set(s) for s in within]
+        for u, v in arcs:
+            grown[u] |= within[v]
+        if grown == within:
+            return dist
+        for u in range(n):
+            for v in grown[u] - within[u]:
+                dist[u][v] = k
+        within = grown

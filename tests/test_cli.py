@@ -74,7 +74,7 @@ def test_synthesis_error_exit_codes(command, status, expected, tmp_path, monkeyp
     """A synthesis cut by the cap is unknown; one that searched everything failed."""
     path = tmp_path / "b3_3.alg"
     path.write_text(serialize_algebra(idempotent_algebra(3, "binary", 3)))
-    monkeypatch.setattr(algraph.thin, "closure_search", lambda *args: (None, status))
+    monkeypatch.setattr(algraph.thin, "closure_search", lambda *args: UNKNOWN if status == "capped" else None)
     code = main([command, str(path)])
     captured = capsys.readouterr()
     assert code == expected

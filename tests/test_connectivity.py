@@ -12,6 +12,15 @@ from algraph.connectivity import (
 )
 from algraph.core import Algebra, AlgebraError, OpTable
 from algraph.subpower import ClosureBudget, generate_subuniverse
+from oracles import brute_distances
+
+# the arc kinds each filter admits, spelled out apart from the package's table
+ADMITTED = {
+    "s": {"semilattice"},
+    "as": {"semilattice", "affine"},
+    "sm": {"semilattice", "majority"},
+    "all": {"semilattice", "majority", "affine"},
+}
 
 
 def test_build_filters(pipelines):
@@ -124,3 +133,48 @@ def test_export_dot(pipelines):
     mixed = pipelines["A2"]
     dotm = export_dot(build_oriented_graph(mixed.alg, mixed.thin, "all"))
     assert "style=dotted" in dotm  # affine arcs
+
+
+def test_connectivity_matches_brute_reachability(populations):
+    """Components (labels and order), maximal elements, depths and shortest
+    paths agree with reachability computed by set unions over the arcs, on
+    every Taylor algebra of the populations and under every kind filter."""
+    checked = 0
+    for anas in populations.values():
+        for ana in anas:
+            if not ana.taylor():
+                continue
+            alg, (thin, _) = ana.alg, ana.thin()
+            n = alg.size
+            for kind, admitted in ADMITTED.items():
+                arcs = {(t.src, t.dst, t.kind) for t in thin if t.kind in admitted}
+                dist = brute_distances(n, {(u, v) for u, v, _ in arcs})
+                label = [min(v for v in dist[u] if u in dist[v]) for u in range(n)]
+                order = {(label[u], label[v]) for u in range(n) for v in dist[u] if label[u] != label[v]}
+                co = components(build_oriented_graph(alg, thin, kind))
+                case = (alg.name, kind)
+                assert list(co.component) == label and co.order == order, case
+                maximal = [u for u in range(n) if all(u in dist[v] for v in dist[u])]
+                assert max_elements(alg, thin, kind) == maximal, case
+                for a in range(n):
+                    for b in range(n):
+                        path = path_query(alg, thin, kind, a, b)
+                        if b not in dist[a]:
+                            assert path is None, (case, a, b)
+                            continue
+                        verts, kinds = path
+                        assert verts[0] == a and verts[-1] == b, (case, a, b)
+                        assert len(verts) == len(kinds) + 1 == dist[a][b] + 1, (case, a, b)
+                        assert all(step in arcs for step in zip(verts, verts[1:], kinds)), (case, a, b)
+                if kind == "s":
+                    depth = {}
+                    for v in range(n):
+                        # one distance per maximal component that v reaches
+                        to_comp = {}
+                        for m in maximal:
+                            if m in dist[v]:
+                                to_comp[label[m]] = min(to_comp.get(label[m], n), dist[v][m])
+                        depth[v] = max(to_comp.values()) if to_comp else None
+                    assert depth_and_sdistance(alg, thin) == depth, case
+            checked += 1
+    assert checked >= 400

@@ -97,7 +97,7 @@ def test_check_thin_raises_programming_errors(algs, monkeypatch):
 def test_capped_synthesis_is_unknown(check, monkeypatch):
     """A synthesis that gave up on a capped term slice is inconclusive."""
     alg = idempotent_algebra(3, "binary", 3)  # its f-merge falls back to the slice
-    monkeypatch.setattr(algraph.thin, "closure_search", lambda *args: (None, "capped"))
+    monkeypatch.setattr(algraph.thin, "closure_search", lambda *args: UNKNOWN)
     rep = check(Analysis(alg))
     assert rep.status == "unknown", rep.detail
     assert "slice capped" in rep.detail["error"]
@@ -118,7 +118,7 @@ def test_synthesis_error_names_the_failed_condition(monkeypatch):
     """The error names a condition that the first f candidate fails; the
     first strict edge (0, 1) is one it meets."""
     alg = idempotent_algebra(3, "binary", 3)
-    monkeypatch.setattr(algraph.thin, "closure_search", lambda *args: (None, "complete"))
+    monkeypatch.setattr(algraph.thin, "closure_search", lambda *args: None)
     rep = check_uniform(Analysis(alg))
     assert rep.status == "fail", rep.detail
     assert "first failure: ((0, 2), 'f-semilattice')" in rep.detail["error"]
