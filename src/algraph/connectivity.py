@@ -171,20 +171,19 @@ def path_query(
     return _path(a, lambda v: sorted(g.successors(v)), lambda v: v == b)
 
 
-def depth_and_sdistance(alg: Algebra, thin_edges: Sequence[ThinEdge]) -> dict[int, int | None]:
+def depth_and_sdistance(alg: Algebra, thin_edges: Sequence[ThinEdge]) -> dict[int, int]:
     """Depth per element: the greatest, over maximal components of the
     semilattice graph reachable from it, of the shortest semilattice
-    distance to that component.  None marks elements reaching no maximal
-    component (possible only with a foreign maximal set)."""
+    distance to that component.  Every element of a finite digraph reaches
+    some maximal component, so every element has a depth."""
     g = build_oriented_graph(alg, thin_edges, "s")
     dist = _distances(g)
     co = components(g)
     maximal = co.maximal_components()
-    out: dict[int, int | None] = {}
-    for v in range(g.n):
-        ds = [min(dist[v][m] for m in co.members(c)) for c in maximal if c in dist[v]]
-        out[v] = max(ds) if ds else None
-    return out
+    return {
+        v: max(min(dist[v][m] for m in co.members(c)) for c in maximal if c in dist[v])
+        for v in range(g.n)
+    }
 
 
 def verify_as_connectivity(alg: Algebra, thin_edges: Sequence[ThinEdge]) -> dict:
@@ -219,7 +218,8 @@ def verify_going_maximal(
 
     Preconditions (simple algebra, maximal endpoints, subdirect square,
     connected link tolerance) are checked; unmet ones give a skipped
-    report.  The chain length is bounded by n^2.
+    report.  The chain visits distinct maximal elements, so it has at most
+    n of them.
     """
     from .congruence import is_simple
 
@@ -260,8 +260,6 @@ def verify_going_maximal(
     if found is None:
         return {"status": "fail", "reason": "no chain of maximal elements found", "a": a, "b": b}
     chain, witnesses = found
-    if len(chain) > alg.size * alg.size:
-        return {"status": "fail", "reason": "chain exceeds bound", "a": a, "b": b}
     return {"status": "pass", "chain": chain, "witnesses": witnesses, "target_component": sorted(bhat)}
 
 

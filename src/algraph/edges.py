@@ -36,12 +36,22 @@ and (b, a) classifies exactly like (a, b), so ``EdgeGraph`` stores each
 unordered pair once and reversed pairs are read from it.  Only
 ``semilattice_orientations`` and ``witnesses`` are stated for the stored
 orientation (a < b).
+
+Pairs that generate the same carrier share what depends on the carrier
+alone.  Within one ``edge_graph`` call a record per carrier holds the
+induced subalgebra, its congruences, and the quotient and affine
+certificate of each congruence, each built on first use; in a simple
+algebra every pair generates the whole algebra, so its quotients and
+certificate are built once instead of once per pair.  The semilattice and
+majority searches depend on the pair and run for every pair.  The records
+are dropped when the call returns: they hold for one algebra and one
+budget.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -238,7 +248,36 @@ def affine_certificates(Q: Algebra, budget: ClosureBudget = DEFAULT_BUDGET):
     return AffineCertificate(mal, term), False
 
 
-def classify_pair(alg: Algebra, a: int, b: int, budget: ClosureBudget = DEFAULT_BUDGET) -> EdgeInfo:
+@dataclass
+class _CarrierRecord:
+    """What every pair generating one carrier shares: the induced
+    subalgebra, its congruences in ``all_congruences`` order, and per
+    congruence index the quotient ``(Q, block map)`` and the
+    ``affine_certificates`` result, each built on first use."""
+
+    sub: Algebra
+    congruences: list[Partition]
+    quotients: dict[int, tuple[Algebra, list[int]]] = field(default_factory=dict)
+    certificates: dict[int, tuple] = field(default_factory=dict)
+
+    def quotient(self, i: int) -> tuple[Algebra, list[int]]:
+        if i not in self.quotients:
+            self.quotients[i] = quotient_algebra(self.sub, self.congruences[i])
+        return self.quotients[i]
+
+    def certificate(self, i: int, budget: ClosureBudget) -> tuple:
+        if i not in self.certificates:
+            self.certificates[i] = affine_certificates(self.quotient(i)[0], budget)
+        return self.certificates[i]
+
+
+def classify_pair(
+    alg: Algebra,
+    a: int,
+    b: int,
+    budget: ClosureBudget = DEFAULT_BUDGET,
+    carriers: dict[tuple[int, ...], _CarrierRecord] | None = None,
+) -> EdgeInfo:
     """Full edge classification of a pair: types, minimal witnessing
     congruences, witnesses, strictness.
 
@@ -252,23 +291,31 @@ def classify_pair(alg: Algebra, a: int, b: int, budget: ClosureBudget = DEFAULT_
 
     The carrier is closed without the budget: it is a subset of A, and the
     witness searches, which keep the budget, decide what a cap leaves open.
+    ``carriers`` maps a carrier to the record its pairs share (subalgebra,
+    congruences, quotients, affine certificates); ``edge_graph`` passes one
+    dict for all pairs of an algebra under one budget, and None starts an
+    empty one, so a lone call builds everything itself.
     """
     if a == b:
         raise AlgebraError("classify_pair requires distinct elements")
     su = generate_subuniverse(alg, 1, [(a,), (b,)], derivations=False)
-    sub, carrier = subalgebra_induced(alg, (x for (x,) in su.elements()))
-    carrier_t = tuple(carrier)
-    a_loc, b_loc = carrier_t.index(a), carrier_t.index(b)
+    carrier = tuple(sorted(x for (x,) in su.elements()))
+    carriers = {} if carriers is None else carriers
+    if carrier not in carriers:
+        sub, _ = subalgebra_induced(alg, carrier)
+        carriers[carrier] = _CarrierRecord(sub, all_congruences(sub))
+    rec = carriers[carrier]
+    a_loc, b_loc = carrier.index(a), carrier.index(b)
 
     found: dict[str, tuple[Partition, object]] = {}
     capped: set[str] = set()
     sl_orients: frozenset[str] = frozenset()
-    for theta in all_congruences(sub):
+    for i, theta in enumerate(rec.congruences):
         if len(found) == len(EDGE_TYPES):
             break
         if theta.same(a_loc, b_loc):
             continue
-        Q, bmap = quotient_algebra(sub, theta)
+        Q, bmap = rec.quotient(i)
         abar, bbar = bmap[a_loc], bmap[b_loc]
 
         if SEMILATTICE not in found:
@@ -289,7 +336,7 @@ def classify_pair(alg: Algebra, a: int, b: int, budget: ClosureBudget = DEFAULT_
                 found[MAJORITY] = (theta, mj)
 
         if AFFINE not in found:
-            cert, cut = affine_certificates(Q, budget)
+            cert, cut = rec.certificate(i, budget)
             if cert is not None:
                 found[AFFINE] = (theta, cert)
             elif cut:
@@ -300,8 +347,8 @@ def classify_pair(alg: Algebra, a: int, b: int, budget: ClosureBudget = DEFAULT_
     return EdgeInfo(
         a=a,
         b=b,
-        carrier=carrier_t,
-        sub=sub,
+        carrier=carrier,
+        sub=rec.sub,
         a_loc=a_loc,
         b_loc=b_loc,
         types=frozenset(kinds),
@@ -366,11 +413,13 @@ def edges_connect(nodes: Sequence[int], edges: Iterable[EdgeInfo]) -> bool:
 
 
 def edge_graph(alg: Algebra, budget: ClosureBudget = DEFAULT_BUDGET) -> EdgeGraph:
-    """Classify every unordered pair once, stored as (a, b) with a < b."""
+    """Classify every unordered pair once, stored as (a, b) with a < b; the
+    pairs generating one carrier share its record (see ``classify_pair``)."""
     edges = {}
+    carriers: dict[tuple[int, ...], _CarrierRecord] = {}
     for a in range(alg.size):
         for b in range(a + 1, alg.size):
-            edges[(a, b)] = classify_pair(alg, a, b, budget)
+            edges[(a, b)] = classify_pair(alg, a, b, budget, carriers)
     return EdgeGraph(alg, edges)
 
 

@@ -12,6 +12,7 @@ from algraph.connectivity import (
 )
 from algraph.core import Algebra, AlgebraError, OpTable
 from algraph.subpower import ClosureBudget, generate_subuniverse
+from algraph.thin import ThinEdge
 from oracles import brute_distances
 
 # the arc kinds each filter admits, spelled out apart from the package's table
@@ -88,6 +89,16 @@ def test_path_query(pipelines):
     assert verts == [0, 1] and kinds == ["majority"]
     assert path_query(m2.alg, m2.thin, "s", 0, 1) is None
     assert path_query(m2.alg, m2.thin, "s", 0, 0) == ([0], [])
+
+
+def test_path_query_is_breadth_first():
+    """0 -> 1 -> 5 is shorter than 0 -> 2 -> 3 -> 5; a depth-first search
+    that tries the last-found vertex first would take the long way."""
+    alg = Algebra("P6", 6, [OpTable("p", 2, 6, [x for x in range(6) for _ in range(6)])])
+    arcs = ((0, 1), (0, 2), (1, 5), (2, 3), (3, 5))
+    thin = [ThinEdge(alg, "semilattice", u, v, None, None, None) for u, v in arcs]
+    verts, kinds = path_query(alg, thin, "s", 0, 5)
+    assert verts == [0, 1, 5] and kinds == ["semilattice"] * 2
 
 
 def test_depth(pipelines):

@@ -35,7 +35,7 @@ from algraph.edges import (
     type1_divisor,
     verify_simple_case4,
 )
-from algraph.subpower import ClosureBudget, extract_term, find_term, generate_subuniverse
+from algraph.subpower import DEFAULT_BUDGET, ClosureBudget, extract_term, find_term, generate_subuniverse
 from algraph.verify import idempotent_algebra, iter_idempotent_algebras
 from oracles import affine_certificate_tables
 
@@ -339,6 +339,76 @@ def test_edge_graph_fixtures(algs, pipelines):
     g2 = edge_graph(algs["P2"])
     assert not g2.edge_list()
     assert not g2.connected()
+
+
+def _maltsev_algebra(q):
+    return _affine_algebra(f"Z{q}A", q, 3, lambda x, y, z: x - y + z)
+
+
+def _counting(monkeypatch, name):
+    """Replace ``algraph.edges.<name>`` by a wrapper; returns its call list."""
+    import algraph.edges
+
+    calls, fn = [], getattr(algraph.edges, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(algraph.edges, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("alg", [_maltsev_algebra(3), _maltsev_algebra(5)], ids=["Z3A", "Z5A"])
+def test_edge_graph_builds_each_carrier_once(monkeypatch, alg):
+    """Every pair of a simple algebra generates the whole algebra, whose one
+    separating congruence is the equality: one lattice and one affine
+    certificate serve all of its pairs."""
+    certs = _counting(monkeypatch, "affine_certificates")
+    lattices = _counting(monkeypatch, "all_congruences")
+    graph = edge_graph(alg)
+    assert all(e.types == {AFFINE} for e in graph.edges.values())
+    assert len(certs) == 1 and len(lattices) == 1
+
+
+def test_edge_graph_z7a_shares_one_certificate():
+    alg = _maltsev_algebra(7)
+    graph = edge_graph(alg)
+    assert len(graph.edges) == 21
+    assert all(e.strict == "strictly-affine" for e in graph.edges.values())
+    certs = {id(e.affine_cert) for e in graph.edges.values()}
+    assert len(certs) == 1
+    cert = graph.edges[(0, 1)].affine_cert
+    assert cert.maltsev.values.tolist() == alg.ops[0].values.tolist()
+    assert term_table(alg, cert.term, 3).values.tolist() == alg.ops[0].values.tolist()
+
+
+def _edge_fields(e):
+    """Every field of an EdgeInfo, as plain data."""
+    cert = e.affine_cert
+    return (
+        (e.a, e.b, e.carrier, e.a_loc, e.b_loc),
+        (e.types, e.unknown_types, e.strict, e.semilattice_orientations),
+        {t: tuple(p.block_id) for t, p in e.theta.items()},
+        {t: str(w) for t, w in e.witnesses.items()},
+        None if cert is None else (cert.maltsev.values.tolist(), str(cert.term)),
+        [(op.name, op.arity, op.values.tolist()) for op in e.sub.ops],
+    )
+
+
+@pytest.mark.parametrize("budget", [DEFAULT_BUDGET, ClosureBudget(max_elements=3)], ids=["default", "cap3"])
+def test_edge_graph_matches_lone_pairs(populations, budget):
+    """The carrier records shared inside ``edge_graph`` change nothing: each
+    pair reads as ``classify_pair`` alone gives it, with or without a cap."""
+    checked = 0
+    for anas in populations.values():
+        for ana in anas:
+            alg = ana.alg
+            graph = ana.graph() if budget is DEFAULT_BUDGET else edge_graph(alg, budget)
+            for (a, b), e in graph.edges.items():
+                assert _edge_fields(e) == _edge_fields(classify_pair(alg, a, b, budget)), (alg.name, a, b)
+            checked += 1
+    assert checked >= 400
 
 
 def test_graph_connected_hereditary(algs):
