@@ -21,9 +21,9 @@ The standing assumption on input algebras (idempotent, no degenerate
 two-element projection-only quotient anywhere) is checked two ways:
 
 * ``type1_divisor`` / ``omits_type1``: exact and fast, by scanning all
-  quotients of subalgebras for an algebra whose basic operations are all
-  projections.  For finite idempotent algebras this is equivalent to the
-  existence of a 4-ary term s with s(y,x,y,z) = s(x,y,z,y).
+  quotients of subalgebras (the carrier records below) for an algebra whose
+  basic operations are all projections.  For finite idempotent algebras this
+  is equivalent to a 4-ary term s with s(y,x,y,z) = s(x,y,z,y).
 * ``has_siggers_term``: the direct search for that 4-ary term, three-valued
   because its closure can be huge; used to cross-validate the first check.
 
@@ -38,14 +38,13 @@ unordered pair once and reversed pairs are read from it.  Only
 orientation (a < b).
 
 Pairs that generate the same carrier share what depends on the carrier
-alone.  Within one ``edge_graph`` call a record per carrier holds the
-induced subalgebra, its congruences, and the quotient and affine
-certificate of each congruence, each built on first use; in a simple
-algebra every pair generates the whole algebra, so its quotients and
-certificate are built once instead of once per pair.  The semilattice and
-majority searches depend on the pair and run for every pair.  The records
-are dropped when the call returns: they hold for one algebra and one
-budget.
+alone.  A record per carrier (``_record``) holds the induced subalgebra,
+its congruences, and the quotient and affine certificate of each
+congruence, each built on first use; in a simple algebra every pair
+generates the whole algebra, so these are built once, not once per pair.
+The semilattice and majority searches run for every pair.  The records of
+one algebra live in a dict the caller passes, which an ``Analysis`` shares
+between its type-1 gate and its edge graph; a lone call makes its own.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .congruence import Partition, all_congruences, is_simple
+from .congruence import Partition, all_congruences, compatible_tolerance_generated, is_simple
 from .core import (
     UNKNOWN,
     Algebra,
@@ -250,15 +249,15 @@ def affine_certificates(Q: Algebra, budget: ClosureBudget = DEFAULT_BUDGET):
 
 @dataclass
 class _CarrierRecord:
-    """What every pair generating one carrier shares: the induced
-    subalgebra, its congruences in ``all_congruences`` order, and per
-    congruence index the quotient ``(Q, block map)`` and the
-    ``affine_certificates`` result, each built on first use."""
+    """What every question about one carrier shares: the induced
+    subalgebra, its congruences in ``all_congruences`` order, the quotient
+    ``(Q, block map)`` per congruence index and the ``affine_certificates``
+    result per index and budget, each built on first use."""
 
     sub: Algebra
     congruences: list[Partition]
     quotients: dict[int, tuple[Algebra, list[int]]] = field(default_factory=dict)
-    certificates: dict[int, tuple] = field(default_factory=dict)
+    certificates: dict[tuple[int, ClosureBudget], tuple] = field(default_factory=dict)
 
     def quotient(self, i: int) -> tuple[Algebra, list[int]]:
         if i not in self.quotients:
@@ -266,9 +265,23 @@ class _CarrierRecord:
         return self.quotients[i]
 
     def certificate(self, i: int, budget: ClosureBudget) -> tuple:
-        if i not in self.certificates:
-            self.certificates[i] = affine_certificates(self.quotient(i)[0], budget)
-        return self.certificates[i]
+        if (i, budget) not in self.certificates:
+            self.certificates[i, budget] = affine_certificates(self.quotient(i)[0], budget)
+        return self.certificates[i, budget]
+
+
+def _record(alg: Algebra, carrier: tuple[int, ...], carriers: dict) -> _CarrierRecord:
+    """The record of a sorted carrier in ``carriers``, built on first use."""
+    if carrier not in carriers:
+        sub, _ = subalgebra_induced(alg, carrier)
+        carriers[carrier] = _CarrierRecord(sub, all_congruences(sub))
+    return carriers[carrier]
+
+
+def _pair_carrier(alg: Algebra, a: int, b: int) -> tuple[int, ...]:
+    """Sg(a, b) as a sorted tuple."""
+    su = generate_subuniverse(alg, 1, [(a,), (b,)], derivations=False)
+    return tuple(sorted(x for (x,) in su.elements()))
 
 
 def classify_pair(
@@ -276,7 +289,7 @@ def classify_pair(
     a: int,
     b: int,
     budget: ClosureBudget = DEFAULT_BUDGET,
-    carriers: dict[tuple[int, ...], _CarrierRecord] | None = None,
+    carriers: dict | None = None,
 ) -> EdgeInfo:
     """Full edge classification of a pair: types, minimal witnessing
     congruences, witnesses, strictness.
@@ -293,18 +306,13 @@ def classify_pair(
     witness searches, which keep the budget, decide what a cap leaves open.
     ``carriers`` maps a carrier to the record its pairs share (subalgebra,
     congruences, quotients, affine certificates); ``edge_graph`` passes one
-    dict for all pairs of an algebra under one budget, and None starts an
-    empty one, so a lone call builds everything itself.
+    dict for all pairs of an algebra, and None starts an empty one, so a
+    lone call builds everything itself.
     """
     if a == b:
         raise AlgebraError("classify_pair requires distinct elements")
-    su = generate_subuniverse(alg, 1, [(a,), (b,)], derivations=False)
-    carrier = tuple(sorted(x for (x,) in su.elements()))
-    carriers = {} if carriers is None else carriers
-    if carrier not in carriers:
-        sub, _ = subalgebra_induced(alg, carrier)
-        carriers[carrier] = _CarrierRecord(sub, all_congruences(sub))
-    rec = carriers[carrier]
+    carrier = _pair_carrier(alg, a, b)
+    rec = _record(alg, carrier, {} if carriers is None else carriers)
     a_loc, b_loc = carrier.index(a), carrier.index(b)
 
     found: dict[str, tuple[Partition, object]] = {}
@@ -412,11 +420,11 @@ def edges_connect(nodes: Sequence[int], edges: Iterable[EdgeInfo]) -> bool:
     return all(p.same(x, nodes[0]) for x in nodes)
 
 
-def edge_graph(alg: Algebra, budget: ClosureBudget = DEFAULT_BUDGET) -> EdgeGraph:
-    """Classify every unordered pair once, stored as (a, b) with a < b; the
-    pairs generating one carrier share its record (see ``classify_pair``)."""
+def edge_graph(alg: Algebra, budget: ClosureBudget = DEFAULT_BUDGET, carriers: dict | None = None) -> EdgeGraph:
+    """Classify every unordered pair once, stored as (a, b) with a < b; pairs
+    generating one carrier share its record in ``carriers`` (fresh if None)."""
     edges = {}
-    carriers: dict[tuple[int, ...], _CarrierRecord] = {}
+    carriers = {} if carriers is None else carriers
     for a in range(alg.size):
         for b in range(a + 1, alg.size):
             edges[(a, b)] = classify_pair(alg, a, b, budget, carriers)
@@ -452,12 +460,15 @@ def graph_connected_hereditary(graph: EdgeGraph) -> tuple[str, tuple[int, ...] |
     """Connectivity of the edge graph of the algebra and of every subalgebra.
 
     A subalgebra's graph is the restriction of ``graph`` to its carrier, so
-    nothing is classified again.  Subuniverses are walked in the order of
-    ``all_subuniverses``; returns ("unknown", carrier) or ("fail", carrier)
-    for the first carrier whose restriction has a pair of unknown type or is
-    disconnected (unknown checked first), else ("pass", None).
+    nothing is classified again.  Returns ("unknown", carrier) or ("fail",
+    carrier) for the first subuniverse, by size and then lexicographically,
+    whose restriction has a pair of unknown type or is disconnected (unknown
+    checked first), else ("pass", None).  Only the pair carriers Sg(a, b)
+    are walked: if a subuniverse B has a pair (x, y) of unknown type, or x,
+    y not joined inside B, then Sg(x, y), a subset of B, has the same
+    defect, so the first bad subuniverse is 2-generated.
     """
-    for carrier in all_subuniverses(graph.alg, min_size=1):
+    for carrier in sorted({e.carrier for e in graph.edges.values()}, key=lambda c: (len(c), c)):
         inside = set(carrier)
         infos = [e for e in graph.edges.values() if e.a in inside and e.b in inside]
         if any(e.unknown_types for e in infos):
@@ -479,25 +490,24 @@ def _is_projection_only(alg: Algebra) -> bool:
     return True
 
 
-def type1_divisor(alg: Algebra):
+def type1_divisor(alg: Algebra, carriers: dict | None = None):
     """A (carrier, partition) whose quotient has only projections, or None.
 
     A nontrivial such divisor is exactly the obstruction to having a 4-ary
     term s with s(y,x,y,z) = s(x,y,z,y) in a finite idempotent algebra.
+    Subuniverses and congruences are walked in enumeration order, each read
+    from its record in ``carriers`` (a fresh dict when None).
     """
     for carrier in all_subuniverses(alg, min_size=2):
-        sub, _ = subalgebra_induced(alg, carrier)
-        for theta in all_congruences(sub):
-            if theta.num_blocks() < 2:
-                continue
-            Q, _ = quotient_algebra(sub, theta)
-            if _is_projection_only(Q):
+        rec = _record(alg, carrier, {} if carriers is None else carriers)
+        for i, theta in enumerate(rec.congruences):
+            if theta.num_blocks() >= 2 and _is_projection_only(rec.quotient(i)[0]):
                 return carrier, theta
     return None
 
 
-def omits_type1(alg: Algebra) -> bool:
-    return type1_divisor(alg) is None
+def omits_type1(alg: Algebra, carriers: dict | None = None) -> bool:
+    return type1_divisor(alg, carriers) is None
 
 
 def has_siggers_term(alg: Algebra, budget: ClosureBudget = DEFAULT_BUDGET):
@@ -548,8 +558,7 @@ def is_strictly_simple(alg: Algebra) -> bool:
     n = alg.size
     for a in range(n):
         for b in range(a + 1, n):
-            su = generate_subuniverse(alg, 1, [(a,), (b,)], derivations=False)
-            if len(su) != n:
+            if len(_pair_carrier(alg, a, b)) != n:
                 return False
     return True
 
@@ -560,8 +569,6 @@ def is_tolerance_free(alg: Algebra) -> bool:
     Checked through the compatible tolerance generated by each pair: the
     algebra is tolerance free exactly when each of these is total.
     """
-    from .congruence import compatible_tolerance_generated
-
     for a in range(alg.size):
         for b in range(a + 1, alg.size):
             t = compatible_tolerance_generated(alg, a, b)
@@ -596,8 +603,7 @@ def verify_simple_case4(alg: Algebra, a: int, b: int, budget: ClosureBudget = DE
         return {"status": "unknown", "reason": "affine check capped"}
     if not omits_type1(alg):
         return {"status": "skipped", "reason": "algebra has a type-1 divisor"}
-    su = generate_subuniverse(alg, 1, [(a,), (b,)], derivations=False)
-    pair_generates = len(su) == alg.size
+    pair_generates = len(_pair_carrier(alg, a, b)) == alg.size
     if _hypergraph_connected(alg, a, b):
         return {"status": "pass", "disjunct": "hypergraph", "pair_generates": pair_generates}
     sl = semilattice_witness(alg, a, b, budget)

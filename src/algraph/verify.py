@@ -95,12 +95,14 @@ class Analysis:
 
     The edge graph is built once, by ``graph()``; the suites, the thin
     edges and the CLI's graph/thin/synth commands read pairs, reversed
-    pairs and subalgebra graphs from it instead of classifying again.
+    pairs and subalgebra graphs from it instead of classifying again.  The
+    gate ``taylor()`` and the graph share one table of carrier records.
     """
 
     def __init__(self, alg: Algebra, budget: ClosureBudget = DEFAULT_BUDGET):
         self.alg = alg
         self.budget = budget
+        self._carriers: dict = {}
         self._graph: EdgeGraph | None = None
         self._unified: UnifiedOps | None = None
         self._fprime: OpTable | None = None
@@ -109,12 +111,12 @@ class Analysis:
 
     def taylor(self) -> bool:
         if self._taylor is None:
-            self._taylor = omits_type1(self.alg)
+            self._taylor = omits_type1(self.alg, self._carriers)
         return self._taylor
 
     def graph(self) -> EdgeGraph:
         if self._graph is None:
-            self._graph = edge_graph(self.alg, self.budget)
+            self._graph = edge_graph(self.alg, self.budget, self._carriers)
         return self._graph
 
     def unified(self) -> UnifiedOps:
@@ -345,6 +347,10 @@ def run_suite(alg: Algebra, which="all", budget: ClosureBudget = DEFAULT_BUDGET)
 
     ``which`` is a suite name, "all", or a sequence of names.
     """
+    return _run_suites(Analysis(alg, budget), which)
+
+
+def _run_suites(ana: Analysis, which) -> list[VerificationReport]:
     if which == "all":
         names = THEOREMS
     elif isinstance(which, str):
@@ -354,7 +360,6 @@ def run_suite(alg: Algebra, which="all", budget: ClosureBudget = DEFAULT_BUDGET)
     for name in names:
         if name not in _SUITES:
             raise AlgebraError(f"unknown theorem suite {name!r}; known: {THEOREMS}")
-    ana = Analysis(alg, budget)
     return [_SUITES[name](ana) for name in names]
 
 
@@ -407,12 +412,10 @@ def iter_idempotent_algebras(size: int, signature: str, limit: int | None = None
 
 def _verify_one(args):
     size, signature, index, which, budget = args
-    alg = idempotent_algebra(size, signature, index)
-    if not omits_type1(alg):
+    ana = Analysis(idempotent_algebra(size, signature, index), budget)
+    if not ana.taylor():
         return index, "type1", []
-    if isinstance(which, list):
-        which = tuple(which)
-    reports = run_suite(alg, which, budget)
+    reports = _run_suites(ana, which)
     return index, "taylor", [r.to_json() for r in reports]
 
 

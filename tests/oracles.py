@@ -167,3 +167,43 @@ def brute_distances(n, arcs):
             for v in grown[u] - within[u]:
                 dist[u][v] = k
         within = grown
+
+
+def _closed(alg, subset):
+    s = set(subset)
+    return all(
+        op(*args) in s for op in alg.ops for args in itertools.product(subset, repeat=op.arity)
+    )
+
+
+def is_type1_divisor(alg, carrier, blocks):
+    """Is ``blocks``, a partition of the closed ``carrier`` into at least two
+    blocks, a congruence whose quotient has only projections?  Read off the
+    tables: argument tuples with the same blocks give values in one block,
+    and for each operation some argument position always lands in the
+    value's block."""
+    if len(blocks) < 2 or not _closed(alg, carrier):
+        return False
+    bid = {x: i for i, b in enumerate(blocks) for x in b}
+    for op in alg.ops:
+        value = {}
+        for args in itertools.product(carrier, repeat=op.arity):
+            key = tuple(bid[x] for x in args)
+            if value.setdefault(key, bid[op(*args)]) != bid[op(*args)]:
+                return False
+        if not any(all(v == key[j] for key, v in value.items()) for j in range(op.arity)):
+            return False
+    return True
+
+
+def brute_type1(alg):
+    """The first type-1 divisor (carrier, blocks) over every subset of size
+    at least 2 and every partition of it, or None."""
+    n = alg.size
+    for r in range(2, n + 1):
+        for carrier in itertools.combinations(range(n), r):
+            for blocks in _partitions(r):
+                blocks = [[carrier[i] for i in b] for b in blocks]
+                if is_type1_divisor(alg, carrier, blocks):
+                    return carrier, blocks
+    return None

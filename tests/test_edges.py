@@ -25,6 +25,7 @@ from algraph.edges import (
     all_subuniverses,
     classify_pair,
     edge_graph,
+    edges_connect,
     graph_connected_hereditary,
     has_siggers_term,
     is_strictly_simple,
@@ -37,7 +38,7 @@ from algraph.edges import (
 )
 from algraph.subpower import DEFAULT_BUDGET, ClosureBudget, extract_term, find_term, generate_subuniverse
 from algraph.verify import idempotent_algebra, iter_idempotent_algebras
-from oracles import affine_certificate_tables
+from oracles import affine_certificate_tables, brute_type1, is_type1_divisor
 
 
 def test_semilattice_witness(algs):
@@ -411,6 +412,49 @@ def test_edge_graph_matches_lone_pairs(populations, budget):
     assert checked >= 400
 
 
+def test_shared_records_keep_each_budgets_certificate(algs):
+    """A records table filled under a cap does not hand its capped affine
+    certificate to a later call at another budget."""
+    alg, carriers = algs["Z3A"], {}
+    edge_graph(alg, ClosureBudget(max_elements=2), carriers)
+    shared = edge_graph(alg, DEFAULT_BUDGET, carriers)
+    fresh = edge_graph(alg)
+    assert shared.edges.keys() == fresh.edges.keys()
+    for key, e in fresh.edges.items():
+        assert _edge_fields(shared.edges[key]) == _edge_fields(e), key
+
+
+def _hereditary_over_every_subuniverse(graph):
+    """``graph_connected_hereditary`` walking every subuniverse, singletons
+    included, in ``all_subuniverses`` order."""
+    for carrier in all_subuniverses(graph.alg, min_size=1):
+        inside = set(carrier)
+        infos = [e for e in graph.edges.values() if e.a in inside and e.b in inside]
+        if any(e.unknown_types for e in infos):
+            return "unknown", carrier
+        if not edges_connect(carrier, [e for e in infos if e.is_edge()]):
+            return "fail", carrier
+    return "pass", None
+
+
+@pytest.mark.parametrize(
+    "budget, outcomes",
+    [(DEFAULT_BUDGET, {"pass", "fail"}), (ClosureBudget(max_elements=3), {"fail", "unknown"})],
+    ids=["default", "cap3"],
+)
+def test_graph_connected_hereditary_walks_pair_carriers(populations, budget, outcomes):
+    """The first bad subuniverse is 2-generated, so walking the pair
+    carriers answers as walking every subuniverse does."""
+    seen = set()
+    for anas in populations.values():
+        for ana in anas:
+            graph = ana.graph() if budget is DEFAULT_BUDGET else edge_graph(ana.alg, budget)
+            got = graph_connected_hereditary(graph)
+            assert got == _hereditary_over_every_subuniverse(graph), ana.alg.name
+            seen.add(got[0])
+    assert seen == outcomes
+
+
 def test_graph_connected_hereditary(algs):
     assert graph_connected_hereditary(edge_graph(algs["S3chain"])) == ("pass", None)
     assert graph_connected_hereditary(edge_graph(algs["P2"])) == ("fail", (0, 1))
@@ -449,6 +493,25 @@ def test_siggers_agrees_with_divisor_test():
             assert res is omits_type1(alg), f"disagreement at index {idx}"
             checked += 1
     assert checked >= 43  # the size-3 answers decided at this budget
+
+
+def test_type1_divisor_matches_brute_oracle():
+    """``omits_type1`` agrees with a search over every subset and partition,
+    and each divisor it reports is a congruence with a projection-only
+    quotient."""
+    sizes = [(2, "binary"), (2, "ternary"), (2, "binary+ternary"), (3, "binary")]
+    algebras = [alg for size, sig in sizes for alg in iter_idempotent_algebras(size, sig)]
+    taylor = []
+    for alg in algebras:
+        divisor = type1_divisor(alg)
+        assert (divisor is None) is (brute_type1(alg) is None) is omits_type1(alg), alg.name
+        if divisor is None:
+            taylor.append(alg.name)
+            continue
+        carrier, theta = divisor
+        blocks = [[carrier[x] for x in block] for block in theta.blocks()]
+        assert is_type1_divisor(alg, carrier, blocks), alg.name
+    assert len([t for t in taylor if t.startswith("b3")]) == 331
 
 
 def test_strictly_simple_and_tolerance_free(algs):

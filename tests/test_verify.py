@@ -2,10 +2,12 @@ import itertools
 
 import pytest
 
+import algraph.edges
 import algraph.reduct
 import algraph.thin
 import algraph.verify
 from algraph.core import UNKNOWN
+from algraph.edges import all_subuniverses
 from algraph.subpower import ClosureBudget, term_slice
 from algraph.verify import (
     THEOREMS,
@@ -19,9 +21,12 @@ from algraph.verify import (
     check_tolerance_classes,
     check_uniform,
     count_idempotent_algebras,
+    enumerate_and_verify,
     idempotent_algebra,
     run_suite,
 )
+
+MAIN_SUITES = tuple(t for t in THEOREMS if t != "reduct")
 
 
 def test_suite_frame_skips_type1_except_tolerance_classes(algs):
@@ -137,6 +142,54 @@ def test_check_reduct_builds_slices_once(algs, monkeypatch):
     assert rep.status == "pass"
     assert len(rep.detail["edges"]) >= 2
     assert sorted(calls) == [2, 3]
+
+
+def _recording(monkeypatch, module, name):
+    """Replace ``module.<name>`` by a wrapper; returns its argument list."""
+    calls, fn = [], getattr(module, name)
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["Z3A", "S3chain", "RPS"])
+def test_run_suite_builds_each_subalgebra_once(name, algs, monkeypatch):
+    """The type-1 gate and the edge graph of one analysis share one table of
+    carrier records: one induced subalgebra and one lattice per subuniverse."""
+    alg = algs[name]
+    induced = _recording(monkeypatch, algraph.edges, "subalgebra_induced")
+    lattices = _recording(monkeypatch, algraph.edges, "all_congruences")
+    run_suite(alg, MAIN_SUITES)
+    carriers = all_subuniverses(alg, min_size=2)
+    assert sorted(carrier for _, carrier in induced) == sorted(carriers)
+    assert len(lattices) == len(carriers)
+
+
+def test_check_reduct_builds_each_reduct_subalgebra_once(algs, monkeypatch):
+    """The reduct's gate and its edge graph share one table of records."""
+    ana = Analysis(algs["S3chain"])
+    ana.taylor()  # the base algebra's gate and graph, before counting
+    ana.graph()
+    induced = _recording(monkeypatch, algraph.edges, "subalgebra_induced")
+    rep = check_reduct(ana)
+    assert rep.status == "pass"
+    reducts = {}
+    for red, carrier in induced:
+        reducts.setdefault(id(red), (red, []))[1].append(carrier)
+    assert len(reducts) == len(rep.detail["edges"])
+    for red, carriers in reducts.values():
+        assert sorted(carriers) == sorted(all_subuniverses(red, min_size=2))
+
+
+def test_enumeration_gates_each_algebra_once(monkeypatch):
+    gated = _recording(monkeypatch, algraph.verify, "omits_type1")
+    res = enumerate_and_verify(2, "binary", ("connectedness",))
+    assert res["counts"]["taylor"] > 0
+    assert sorted(alg.name for alg, *_ in gated) == [f"b2_{i}" for i in range(res["counts"]["algebras"])]
 
 
 @pytest.mark.parametrize(
