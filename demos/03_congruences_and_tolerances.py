@@ -47,7 +47,7 @@ print("tolerance generated by (0,1) in RPS is total:",
       compatible_tolerance_generated(RPS(), 0, 1).is_total())
 print("all tolerances of the chain:", len(all_tolerances(s3)))
 
-# Link tolerances: pairs coexisting in one coordinate of a relation.
+# Link tolerances: pairs coexisting in one coordinate of a binary relation.
 s2 = S2()
 rel = generate_subuniverse(s2, 2, [(0, 0), (0, 1), (1, 1)])
 print("link tolerance of", sorted(rel.as_set()), "is total:",

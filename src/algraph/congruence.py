@@ -12,6 +12,15 @@ Cg(a, b), all closed over the one table.  No join is re-checked: Con A is
 a sublattice of the equivalence lattice (Burris and Sankappanavar, A
 Course in Universal Algebra, section I.5), so the join of two congruences
 as equivalence relations is again a congruence.
+
+The tolerance layer reads a binary relation R ⊆ A² as one n x n boolean
+matrix (``SubUniverse.matrix``).  The link tolerance of R in its first
+coordinate, u ~ v when (u, w) and (v, w) are in R for some w, is the
+relational product R·R⁻¹, one boolean matrix product; in the second
+coordinate it is R⁻¹·R.  A pair relation R = Sg{(a, b), (b, a)} is its own
+converse, since swapping the coordinates is an automorphism of A² that
+fixes the generators, so both coordinates give the same tolerance and
+only the first is computed.
 """
 
 from __future__ import annotations
@@ -370,50 +379,30 @@ def compatible_tolerance_generated(alg: Algebra, a: int, b: int) -> Tolerance:
     Computed as the subuniverse of A^2 generated by the diagonal plus
     (a,b) and (b,a); that set is automatically reflexive and symmetric.
     """
-    n = alg.size
-    gens = [(x, x) for x in range(n)] + [(a, b), (b, a)]
-    su = generate_subuniverse(alg, 2, gens, derivations=False)
-    m = np.zeros((n, n), dtype=bool)
-    for u, v in su.elements():
-        m[u, v] = True
-    return Tolerance(m)
+    gens = [(x, x) for x in range(alg.size)] + [(a, b), (b, a)]
+    return Tolerance(generate_subuniverse(alg, 2, gens, derivations=False).matrix())
 
 
 def link_tolerance(alg: Algebra, rel: SubUniverse, i: int) -> Tolerance:
-    """Pairs coexisting in coordinate i of a relation, all else equal.
+    """Pairs coexisting in coordinate i of a binary relation R, the other
+    coordinate equal: R·R⁻¹ for i = 0 and R⁻¹·R for i = 1.
 
-    Requires a complete relation that is subdirect in coordinate i; the
-    result is checked to be compatible and a failure aborts, since it
+    Takes binary relations only, complete and subdirect in coordinate i;
+    the result is checked to be compatible and a failure aborts, since it
     cannot happen for a compatible relation.
     """
     if rel.base is not alg and rel.base.signature() != alg.signature():
         raise AlgebraError("relation is over a different algebra")
     if not rel.is_complete():
         raise AlgebraError("link tolerance requires a complete relation (got capped)")
-    k = rel.power
-    if not 0 <= i < k:
-        raise AlgebraError(f"coordinate {i} out of range for power {k}")
-    rows = rel.rows
-    if len(np.unique(rows[:, i])) != alg.size:
+    m = rel.matrix()
+    if i not in (0, 1):
+        raise AlgebraError(f"coordinate {i} out of range for power 2")
+    if i == 1:
+        m = m.T
+    if not m.any(axis=1).all():
         raise AlgebraError(f"relation is not subdirect in coordinate {i}")
-    n = alg.size
-    m = np.eye(n, dtype=bool)
-    others = [j for j in range(k) if j != i]
-    if others:
-        order = np.lexsort(tuple(rows[:, j] for j in reversed(others)))
-        sortd = rows[order]
-        ctx = sortd[:, others]
-        starts = np.r_[True, (ctx[1:] != ctx[:-1]).any(axis=1)]
-        group_ids = np.cumsum(starts) - 1
-        for g in range(group_ids[-1] + 1 if len(group_ids) else 0):
-            vals = np.unique(sortd[group_ids == g, i])
-            for u in vals:
-                m[u, vals] = True
-    else:
-        vals = np.unique(rows[:, i])
-        for u in vals:
-            m[u, vals] = True
-    t = Tolerance(m)
+    t = Tolerance(m @ m.T)
     if not is_compatible_tolerance(alg, t):
         raise VerificationError("link tolerance is not compatible; engine invariant broken")
     return t

@@ -55,7 +55,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .congruence import Partition, all_congruences, compatible_tolerance_generated, is_simple
+from .congruence import (
+    Partition,
+    all_congruences,
+    compatible_tolerance_generated,
+    is_class_subuniverse,
+    is_simple,
+)
 from .core import (
     UNKNOWN,
     Algebra,
@@ -439,21 +445,12 @@ def all_subuniverses(alg: Algebra, min_size: int = 1) -> list[tuple[int, ...]]:
     n = alg.size
     if n > MAX_SUBUNIVERSE_ENUM:
         raise AlgebraError(f"subuniverse enumeration limited to size {MAX_SUBUNIVERSE_ENUM}")
-    out = []
-    for r in range(max(min_size, 1), n + 1):
-        for sub in itertools.combinations(range(n), r):
-            s = set(sub)
-            closed = True
-            for op in alg.ops:
-                for args in itertools.product(sub, repeat=op.arity):
-                    if op(*args) not in s:
-                        closed = False
-                        break
-                if not closed:
-                    break
-            if closed:
-                out.append(sub)
-    return out
+    return [
+        sub
+        for r in range(max(min_size, 1), n + 1)
+        for sub in itertools.combinations(range(n), r)
+        if is_class_subuniverse(alg, sub)
+    ]
 
 
 def graph_connected_hereditary(graph: EdgeGraph) -> tuple[str, tuple[int, ...] | None]:

@@ -82,9 +82,11 @@ def build_reduct(
 ) -> Reduct:
     """Filter the binary and ternary term slices by subset preservation.
 
-    Tables are deduplicated; names are b0.. and t0.. in canonical (slice)
-    order.  A capped slice yields a reduct marked incomplete; downstream
-    verifications must then report unknown rather than pass.  ``slices``
+    A slice's tables are distinct rows of one closure, and binary and
+    ternary tables differ by arity, so no table repeats; names are b0.. and
+    t0.. in canonical (slice) order.  A capped slice yields a reduct marked
+    incomplete; downstream verifications must then report unknown rather
+    than pass.  ``slices``
     can pass precomputed ((binary, status), (ternary, status)) pairs so
     several edges of one algebra share the slice work.
     """
@@ -96,20 +98,15 @@ def build_reduct(
         ters, st3 = term_slice(alg, 3, budget)
     complete = st2 == "complete" and st3 == "complete"
     ops: list[OpTable] = []
-    seen = set()
     bi = ti = 0
     for t in bins:
-        if t.key() in seen or not _preserves(t.values, 2, alg.size, sub):
-            continue
-        seen.add(t.key())
-        ops.append(t.renamed(f"b{bi}"))
-        bi += 1
+        if _preserves(t.values, 2, alg.size, sub):
+            ops.append(t.renamed(f"b{bi}"))
+            bi += 1
     for t in ters:
-        if t.key() in seen or not _preserves(t.values, 3, alg.size, sub):
-            continue
-        seen.add(t.key())
-        ops.append(t.renamed(f"t{ti}"))
-        ti += 1
+        if _preserves(t.values, 3, alg.size, sub):
+            ops.append(t.renamed(f"t{ti}"))
+            ti += 1
     if not ops:
         raise AlgebraError("reduct has no operations; slice was empty")
     algebra = Algebra(f"{alg.name}'", alg.size, ops)

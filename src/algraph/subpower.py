@@ -173,6 +173,15 @@ class SubUniverse:
     def as_set(self) -> set[tuple[int, ...]]:
         return set(self.elements())
 
+    def matrix(self) -> np.ndarray:
+        """A binary relation as an n x n boolean matrix: entry (u, v) is set
+        when (u, v) is a row."""
+        if self.power != 2:
+            raise AlgebraError(f"a relation matrix needs a binary relation (got power {self.power})")
+        m = np.zeros((self.base.size, self.base.size), dtype=bool)
+        m[self.rows[:, 0], self.rows[:, 1]] = True
+        return m
+
     def is_complete(self) -> bool:
         return self.status == COMPLETE
 

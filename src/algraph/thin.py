@@ -431,20 +431,14 @@ def synth_unified(alg: Algebra, edges: Sequence[EdgeInfo], budget: ClosureBudget
 # Identity enforcement (iterate to idempotent unary power)
 
 
-def _unary_idempotent_exponent(maps: np.ndarray) -> int:
-    """Least N >= 1 with t^N idempotent for every row map t of ``maps`` (n x n)."""
-    power, exponent = maps, 1
+def _iterate_before_idempotent(maps: np.ndarray) -> np.ndarray:
+    """Row by row, t^(N-1) of each row map t of ``maps`` (n x n), for the
+    least N >= 1 at which every t^N is idempotent."""
+    prev = np.broadcast_to(np.arange(maps.shape[1]), maps.shape)
+    power = maps
     while not (np.take_along_axis(power, power, axis=1) == power).all():
-        power = np.take_along_axis(maps, power, axis=1)
-        exponent += 1
-    return exponent
-
-
-def _iterate_map(row: np.ndarray, times: int) -> np.ndarray:
-    out = np.arange(len(row), dtype=row.dtype)
-    for _ in range(times):
-        out = row[out]
-    return out
+        prev, power = power, np.take_along_axis(maps, power, axis=1)
+    return prev
 
 
 def enforce_identities(ops: UnifiedOps, alg: Algebra) -> UnifiedOps:
@@ -456,32 +450,21 @@ def enforce_identities(ops: UnifiedOps, alg: Algebra) -> UnifiedOps:
 
     for all x, y, re-verifying the edge condition matrix afterwards.
     The iterate count is the least N >= 1 whose N-th power of every
-    associated unary map is idempotent.
+    associated unary map is idempotent: y -> f(x, y) and y -> g(x, y, y)
+    for each x, and x -> h(x, y, y) for each y.
     """
     n = alg.size
-
-    ft = ops.f.table()
-    nf = _unary_idempotent_exponent(ft)
-    f_new_rows = np.stack([_iterate_map(ft[x], nf) for x in range(n)])
-    f_new = OpTable("f", 2, n, f_new_rows.reshape(-1))
-
-    gt = ops.g.table()
-    g_maps = np.stack([gt[x][np.arange(n), np.arange(n)] for x in range(n)])
-    ng = _unary_idempotent_exponent(g_maps)
-    g_vals = gt.copy()
-    for x in range(n):
-        for _ in range(ng - 1):
-            g_vals[x] = g_maps[x][g_vals[x]]
-    g_new = OpTable("g", 3, n, g_vals.reshape(-1))
-
-    ht = ops.h.table()
-    h_maps = np.stack([ht[:, y, y] for y in range(n)])
-    nh = _unary_idempotent_exponent(h_maps)
-    h_vals = np.empty_like(ht)
-    for y in range(n):
-        spow = _iterate_map(h_maps[y], nh - 1)
-        h_vals[:, y, :] = ht[spow, y, :]
-    h_new = OpTable("h", 3, n, h_vals.reshape(-1))
+    x = np.arange(n)
+    ft, gt, ht = ops.f.table(), ops.g.table(), ops.h.table()
+    # fp[x], gp[x] and hp[y] are the (N-1)-th iterates of the maps above:
+    # f(x, y) -> f(x, fp[x][y]), g(x, y, z) -> gp[x][g(x, y, z)] and
+    # h(x, y, z) -> h(hp[y][x], y, z)
+    fp = _iterate_before_idempotent(ft)
+    gp = _iterate_before_idempotent(gt[:, x, x])
+    hp = _iterate_before_idempotent(ht[:, x, x].T)
+    f_new = OpTable("f", 2, n, np.take_along_axis(ft, fp, axis=1).reshape(-1))
+    g_new = OpTable("g", 3, n, gp[x[:, None, None], gt].reshape(-1))
+    h_new = OpTable("h", 3, n, ht[hp.T[:, :, None], x[:, None], x].reshape(-1))
 
     _assert_identities(f_new, g_new, h_new)
     ok, matrix, first_fail = unified_conditions(alg, ops.edges, f_new, g_new, h_new)

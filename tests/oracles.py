@@ -169,6 +169,20 @@ def brute_distances(n, arcs):
         within = grown
 
 
+def brute_link(rows, n, i):
+    """The link of a relation in coordinate i, as an n x n list of bools:
+    u ~ v when some two rows have u and v in coordinate i and agree in
+    every other coordinate."""
+    rows = [tuple(r) for r in rows]
+    linked = {
+        (r[i], s[i])
+        for r in rows
+        for s in rows
+        if all(r[j] == s[j] for j in range(len(r)) if j != i)
+    }
+    return [[(u, v) in linked for v in range(n)] for u in range(n)]
+
+
 def _closed(alg, subset):
     s = set(subset)
     return all(

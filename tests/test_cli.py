@@ -1,11 +1,12 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import algraph.thin
 from algraph.cli import main
-from algraph.core import UNKNOWN, parse_algebra, serialize_algebra
+from algraph.core import UNKNOWN, Algebra, OpTable, parse_algebra, serialize_algebra
 from algraph.fixtures import fixture
 from algraph.subpower import DEFAULT_MAX_ELEMENTS
 from algraph.verify import idempotent_algebra
@@ -100,6 +101,20 @@ def test_verify_capped_graph_exits_3(capsys):
     code, out = run(capsys, "verify", str(DATA / "M2.alg"), "--cap", "3")
     assert code == 3
     assert "fail" not in {r["status"] for r in json.loads(out)["reports"]}
+
+
+def test_verify_tolerance_classes_above_the_limit_exits_3(tmp_path, capsys):
+    """A valid 6-element algebra is not a usage error: its tolerances are
+    not enumerated, so the suite is unknown."""
+    x, y = np.indices((6, 6))
+    chain = Algebra("chain6", 6, [OpTable("join", 2, 6, np.maximum(x, y).reshape(-1))])
+    path = tmp_path / "chain6.alg"
+    path.write_text(serialize_algebra(chain))
+    code, out = run(capsys, "verify", str(path), "--theorem", "tolerance-classes")
+    assert code == 3
+    (rep,) = json.loads(out)["reports"]
+    assert rep["status"] == "unknown"
+    assert "limited to size 5" in rep["detail"]["reason"]
 
 
 def test_thin_exits_3_on_a_capped_thin_search(monkeypatch, capsys):

@@ -24,7 +24,7 @@ from algraph.congruence import (
 from algraph.core import Algebra, AlgebraError, OpTable, VerificationError, product_algebra
 from algraph.subpower import ClosureBudget, generate_subuniverse
 from algraph.verify import iter_idempotent_algebras
-from oracles import _partitions, brute_congruences
+from oracles import _partitions, brute_congruences, brute_link, naive_close
 
 
 def as_blocksets(parts):
@@ -165,6 +165,37 @@ def test_link_tolerance(algs):
     capped = generate_subuniverse(algs["Z3A"], 2, [(0, 1), (1, 0)], ClosureBudget(max_elements=2))
     with pytest.raises(AlgebraError, match="capped"):
         link_tolerance(algs["Z3A"], capped, 0)
+    with pytest.raises(AlgebraError, match="out of range"):
+        link_tolerance(s2, full, 2)
+    ternary = generate_subuniverse(s2, 3, [(0, 1, 1)])
+    with pytest.raises(AlgebraError, match="binary"):
+        link_tolerance(s2, ternary, 0)
+    with pytest.raises(AlgebraError, match="not subdirect"):
+        link_tolerance(s2, generate_subuniverse(s2, 2, [(0, 1), (1, 1)]), 1)
+
+
+def test_link_tolerance_matches_brute(populations):
+    """Both coordinates of every pair relation Sg{(a,b),(b,a)} and of the
+    full square, against the link read off the rows of a naive closure; a
+    relation that misses an element in coordinate i is refused."""
+    checked = 0
+    for anas in populations.values():
+        for ana in anas:
+            alg, n = ana.alg, ana.alg.size
+            gens = [[(a, b), (b, a)] for a in range(n) for b in range(a + 1, n)]
+            gens.append([(x, y) for x in range(n) for y in range(n)])
+            for g in gens:
+                rel = generate_subuniverse(alg, 2, g, derivations=False)
+                rows = naive_close(alg, 2, g)
+                for i in range(2):
+                    want = brute_link(rows, n, i)
+                    if all(want[u][u] for u in range(n)):
+                        assert link_tolerance(alg, rel, i).matrix.tolist() == want, (alg.name, g, i)
+                        checked += 1
+                    else:
+                        with pytest.raises(AlgebraError, match="not subdirect"):
+                            link_tolerance(alg, rel, i)
+    assert checked > 1000
 
 
 def test_tolerance_classes(algs):

@@ -1,12 +1,13 @@
 import itertools
 
+import numpy as np
 import pytest
 
 import algraph.edges
 import algraph.reduct
 import algraph.thin
 import algraph.verify
-from algraph.core import UNKNOWN
+from algraph.core import UNKNOWN, Algebra, OpTable, VerificationError
 from algraph.edges import all_subuniverses
 from algraph.subpower import ClosureBudget, term_slice
 from algraph.verify import (
@@ -25,6 +26,7 @@ from algraph.verify import (
     idempotent_algebra,
     run_suite,
 )
+from oracles import naive_close
 
 MAIN_SUITES = tuple(t for t in THEOREMS if t != "reduct")
 
@@ -81,6 +83,53 @@ def test_check_tolerance_classes_capped_relation_is_unknown(algs, monkeypatch):
     assert check_tolerance_classes(Analysis(algs["S2"])).status == "pass"
     monkeypatch.setattr(algraph.verify, "is_class_subuniverse", lambda alg, cls: False)
     assert check_tolerance_classes(capped).status == "fail"
+
+
+def test_check_tolerance_classes_links_each_subdirect_pair_once(populations, monkeypatch):
+    """Sg{(a,b),(b,a)} is its own converse, so only its first coordinate is
+    linked: one call per pair whose relation is subdirect."""
+    calls = _recording(monkeypatch, algraph.verify, "link_tolerance")
+    for anas in populations.values():
+        for ana in anas:
+            alg, n = ana.alg, ana.alg.size
+            calls.clear()
+            assert check_tolerance_classes(Analysis(alg)).status == "pass"
+            subdirect = [
+                (a, b)
+                for a in range(n)
+                for b in range(a + 1, n)
+                if {u for u, _ in naive_close(alg, 2, [(a, b), (b, a)])} == set(range(n))
+            ]
+            assert [(rel.generators, i) for _, rel, i in calls] == [
+                ([(a, b), (b, a)], 0) for a, b in subdirect
+            ], alg.name
+
+
+def test_tolerance_classes_above_the_enumeration_limit(monkeypatch):
+    """Above the size limit of ``all_tolerances`` the pair relations still
+    run: the suite is unknown and names the limit, or fails on a link."""
+    x, y = np.indices((6, 6))
+    chain = Algebra("chain6", 6, [OpTable("join", 2, 6, np.maximum(x, y).reshape(-1))])
+    reports = {r.theorem: r for r in run_suite(chain, MAIN_SUITES)}
+    tolerance = reports.pop("tolerance-classes")
+    assert (tolerance.status, tolerance.detail) == (
+        "unknown",
+        {"reason": "tolerances not enumerated: limited to size 5"},
+    )
+    assert {r.status for r in reports.values()} == {"pass"}
+
+    def broken(alg, rel, i):
+        raise VerificationError("broken")
+
+    # in x - y + z mod 6, Sg{(a,b),(b,a)} is subdirect when b - a is a unit
+    x, y, z = np.indices((6, 6, 6))
+    z6 = Algebra("Z6A", 6, [OpTable("m", 3, 6, ((x - y + z) % 6).reshape(-1))])
+    monkeypatch.setattr(algraph.verify, "link_tolerance", broken)
+    rep = check_tolerance_classes(Analysis(z6))
+    assert rep.status == "fail"
+    assert [(f["pair"], f["coord"]) for f in rep.detail["failures"]] == [
+        ([a, b], 0) for a in range(6) for b in range(a + 1, 6) if b - a in (1, 5)
+    ]
 
 
 def test_check_thin_raises_programming_errors(algs, monkeypatch):
