@@ -387,11 +387,15 @@ def link_tolerance(alg: Algebra, rel: SubUniverse, i: int) -> Tolerance:
     """Pairs coexisting in coordinate i of a binary relation R, the other
     coordinate equal: R·R⁻¹ for i = 0 and R⁻¹·R for i = 1.
 
-    Takes binary relations only, complete and subdirect in coordinate i;
-    the result is checked to be compatible and a failure aborts, since it
-    cannot happen for a compatible relation.
+    Takes binary relations only, over ``alg`` or an algebra with the same
+    size, signature and operation tables, complete and subdirect in
+    coordinate i; the result is checked to be compatible and a failure
+    aborts, since it cannot happen for a compatible relation.
     """
-    if rel.base is not alg and rel.base.signature() != alg.signature():
+    base = rel.base
+    if base is not alg and (
+        (base.size, base.signature(), base.ops) != (alg.size, alg.signature(), alg.ops)
+    ):
         raise AlgebraError("relation is over a different algebra")
     if not rel.is_complete():
         raise AlgebraError("link tolerance requires a complete relation (got capped)")

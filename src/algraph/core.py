@@ -320,22 +320,23 @@ def subalgebra_induced(alg: Algebra, carrier: Iterable[int]) -> tuple[Algebra, l
     for x in elems:
         if not 0 <= x < alg.size:
             raise AlgebraError(f"algebra {alg.name}: carrier element {x} out of range")
-    inv = {x: i for i, x in enumerate(elems)}
     m = len(elems)
+    # inv[x] is the new label of x, -1 off the carrier
+    inv = np.full(alg.size, -1, dtype=np.int16)
+    inv[elems] = np.arange(m)
     new_ops = []
     for op in alg.ops:
         grid = argument_grids(m, op.arity)
         args_old = np.asarray(elems, dtype=np.uint8)[grid]
         vals_old = op.values[flat_index(args_old, alg.size)]
-        outside = ~np.isin(vals_old, elems)
-        if outside.any():
-            j = int(np.argmax(outside))
+        new_vals = inv[vals_old]
+        if (new_vals < 0).any():
+            j = int(np.argmax(new_vals < 0))
             witness = tuple(int(args_old[i, j]) for i in range(op.arity))
             raise AlgebraError(
                 f"algebra {alg.name}: carrier not closed under {op.name}: "
                 f"{op.name}{witness} = {int(vals_old[j])}"
             )
-        new_vals = np.array([inv[int(v)] for v in vals_old], dtype=np.uint8)
         new_ops.append(OpTable(op.name, op.arity, m, new_vals))
     return Algebra(f"{alg.name}|{{{','.join(map(str, elems))}}}", m, new_ops), elems
 
@@ -345,45 +346,33 @@ def quotient_algebra(alg: Algebra, theta) -> tuple[Algebra, list[int]]:
 
     ``theta`` is any partition object exposing ``block_id`` (length-n array
     where block_id[x] is the least member of x's block).  Blocks are numbered
-    by least member; well-definedness is re-verified over all representative
-    tuples and a violating pair is reported if found.
+    by least member.  The quotient's tables are read at the least members;
+    every argument tuple is checked to land in the block its least members'
+    tuple does, and a violating pair is reported if found.
     """
     bid = list(theta.block_id)
     if len(bid) != alg.size:
         raise AlgebraError(
             f"algebra {alg.name}: partition of size {len(bid)} does not match"
         )
-    reps = sorted(set(bid))
-    rep_label = {r: i for i, r in enumerate(reps)}
-    block_map = [rep_label[bid[x]] for x in range(alg.size)]
-    bm = np.asarray(block_map, dtype=np.uint8)
+    reps, bm = np.unique(bid, return_inverse=True)
     m = len(reps)
     new_ops = []
     for op in alg.ops:
+        # the quotient's table, read at the blocks' least members
+        new_vals = bm[op.values[flat_index(reps[argument_grids(m, op.arity)], alg.size)]]
         grid = argument_grids(alg.size, op.arity)
-        val_blocks = bm[op.values[flat_index(grid, alg.size)]]
-        # all argument tuples with the same block pattern must agree blockwise
-        pattern = flat_index((bm[row] for row in grid), m)
-        order = np.argsort(pattern, kind="stable")
-        ps, vs = pattern[order], val_blocks[order]
-        starts = np.r_[True, ps[1:] != ps[:-1]]
-        group_first = np.maximum.accumulate(np.where(starts, np.arange(ps.size), 0))
-        disagree = vs != vs[group_first]
+        disagree = bm[op.values] != new_vals[flat_index(bm[grid], m)]
         if disagree.any():
             j = int(np.argmax(disagree))
-            i0, i1 = int(order[group_first[j]]), int(order[j])
-            t0 = tuple(int(grid[r, i0]) for r in range(op.arity))
-            t1 = tuple(int(grid[r, i1]) for r in range(op.arity))
+            t0 = tuple(int(v) for v in reps[bm[grid[:, j]]])
+            t1 = tuple(int(v) for v in grid[:, j])
             raise AlgebraError(
                 f"algebra {alg.name}: partition not compatible with {op.name}: "
                 f"{op.name}{t0} and {op.name}{t1} land in different blocks"
             )
-        new_vals = np.empty(m**op.arity, dtype=np.uint8)
-        rep_grid = argument_grids(m, op.arity)
-        rep_args = np.asarray(reps, dtype=np.uint8)[rep_grid]
-        new_vals[:] = bm[op.values[flat_index(rep_args, alg.size)]]
         new_ops.append(OpTable(op.name, op.arity, m, new_vals))
-    return Algebra(f"{alg.name}/theta", m, new_ops), block_map
+    return Algebra(f"{alg.name}/theta", m, new_ops), bm.tolist()
 
 
 def product_algebra(algs: Sequence[Algebra], name: str | None = None) -> Algebra:

@@ -377,6 +377,17 @@ def _unravel(ranges: list[tuple[int, int]], t: np.ndarray) -> list[np.ndarray]:
     return idx[::-1]
 
 
+def _round_ranges(arity: int, frontier_lo: int, count: int) -> list[list[tuple[int, int]]]:
+    """The argument ranges of each block of the round whose frontier is rows
+    frontier_lo..count-1, in streaming order: in block ``first_new`` the
+    first frontier argument is in that position, the arguments before it
+    range over the older rows and those after it over all rows."""
+    return [
+        [(0, frontier_lo)] * first_new + [(frontier_lo, count)] + [(0, count)] * (arity - first_new - 1)
+        for first_new in range(arity)
+    ]
+
+
 def _round_chunks(alg: Algebra, count: int, frontier_lo: int):
     """(op index, argument ranges, start, stop, unit end) of each streamed
     chunk of the round whose frontier is rows frontier_lo..count-1, in
@@ -384,14 +395,8 @@ def _round_chunks(alg: Algebra, count: int, frontier_lo: int):
     most ``_CHUNK`` tuples, so no chunk crosses a unit's end; the last chunk
     of a unit has unit end set."""
     for op_i, op in enumerate(alg.ops):
-        r = op.arity
-        for first_new in range(r):
-            ranges = (
-                [(0, frontier_lo)] * first_new
-                + [(frontier_lo, count)]
-                + [(0, count)] * (r - first_new - 1)
-            )
-            total = (count - frontier_lo) * frontier_lo**first_new * count ** (r - first_new - 1)
+        for ranges in _round_ranges(op.arity, frontier_lo, count):
+            total = math.prod(hi - lo for lo, hi in ranges)
             for unit in range(0, total, _WORK_UNIT):
                 end = min(unit + _WORK_UNIT, total)
                 for start in range(unit, end, _CHUNK):
@@ -462,15 +467,9 @@ def _first_product(
     n = alg.size
     coords = np.arange(k)
     for op_i, op in enumerate(alg.ops):
-        r = op.arity
         # ok[p, c, i]: op(p, rows[i, c]) == target[c]
         ok = op.values.reshape(-1, n)[:, rows.T] == target[:, None]
-        for first_new in range(r):
-            ranges = (
-                [(0, frontier_lo)] * first_new
-                + [(frontier_lo, count)]
-                + [(0, count)] * (r - first_new - 1)
-            )
+        for ranges in _round_ranges(op.arity, frontier_lo, count):
             last_lo = ranges[-1][0]
             bits = np.packbits(ok[:, :, last_lo:], axis=2, bitorder="little")
             total = math.prod(hi - lo for lo, hi in ranges[:-1])

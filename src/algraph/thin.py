@@ -16,16 +16,18 @@ candidates, in this order, that meets its row of the matrix:
   ``compose_with_f_sym(g_doubleprime(merge), f)`` of their merge;
 - h: ``g_from_f(f)`` and the affine witnesses.
 
-Each condition maps an (m, n, ..., n) stack of tables to a mask; a
-candidate is a stack of one.  When every candidate fails, ``closure_search``
-closes the projection columns in A^(n^arity) round by round, tests each
-round's new tables as one stack, and returns the first passing table in
-stored order: the table a filter over the whole term slice would give.
-``good_f`` searches f and its iterates, then the binary term operations,
-the same way.  A failed row raises SynthesisError naming the first
-condition its first candidate fails.  ``synth_unified`` hands the three
-tables to ``enforce_identities``, which evaluates the whole matrix once and
-records it as ``UnifiedOps.provenance``.
+One walker, ``_matrix``, evaluates the matrix on single tables: it is
+``unified_conditions`` over f, g and h (``enforce_identities`` records it
+as ``UnifiedOps.provenance``), and it names the first condition that a
+refused row's first candidate fails.  ``_row_mask`` is its vectorised form
+for the searches: each condition maps an (m, n, ..., n) stack of tables to
+a mask.  One frame, ``_search``, runs the searches for f, g, h and
+``good_f``'s f' (f and its iterates, then the binary term operations): the
+first passing candidate, else ``closure_search`` closes the projection
+columns in A^(n^arity) round by round and returns the first passing table
+in stored order, the table a filter over the whole term slice would give.
+Else the frame raises the SynthesisError, ``capped`` when the closure was
+cut short.
 
 Thin edges refine thick ones to ordered pairs of elements with witness
 operations acting on the elements themselves: a <= b when f(a,b)=f(b,a)=b.
@@ -95,7 +97,8 @@ class SynthesisError(VerificationError):
 
 @dataclass(frozen=True)
 class UnifiedOps:
-    """The unified f, g, h with the edges they were verified against."""
+    """The unified f, g, h with the edges they were verified against, which
+    are strict: ``synth_unified`` keeps the edges, and each has a strict type."""
 
     f: OpTable
     g: OpTable
@@ -211,39 +214,32 @@ _CONDITIONS = {
 
 
 def _row_mask(which: str, stack: np.ndarray, f: OpTable | None, edges: Sequence[EdgeInfo]) -> np.ndarray:
-    """Mask of the tables of ``stack`` that meet the whole ``which`` row."""
+    """Mask of the tables of ``stack`` that meet the whole ``which`` row over
+    the strict ``edges``."""
     ok = np.ones(len(stack), dtype=bool)
     for e in edges:
-        if e.strict is not None and ok.any():
+        if ok.any():
             ok[ok] = _CONDITIONS[(e.strict, which)][1](stack[ok], f, e)
     return ok
 
 
-def _first_failure(which: str, table: OpTable, f: OpTable | None, edges: Sequence[EdgeInfo]):
-    """``((a, b), condition name)`` of the first strict edge whose ``which``
-    condition ``table`` fails, or None when the whole row holds."""
+def _matrix(rows: dict, f: OpTable | None, edges: Sequence[EdgeInfo]) -> dict:
+    """``{((a, b), condition name): holds}`` over the strict edges in edge
+    order, and for each edge over ``rows`` (``which -> table``) in order."""
+    matrix = {}
     for e in edges:
         if e.strict is None:
             continue
-        name, check = _CONDITIONS[(e.strict, which)]
-        if not check(_stack(table), f, e)[0]:
-            return (e.a, e.b), name
-    return None
+        for which, table in rows.items():
+            name, check = _CONDITIONS[(e.strict, which)]
+            matrix[((e.a, e.b), name)] = bool(check(_stack(table), f, e)[0])
+    return matrix
 
 
 def unified_conditions(alg: Algebra, edges: Sequence[EdgeInfo], f: OpTable, g: OpTable, h: OpTable):
     """Evaluate the whole condition matrix; returns (all_ok, matrix, first_failure)."""
-    matrix = {}
-    first_fail = None
-    for e in edges:
-        if e.strict is None:
-            continue
-        for which, table in (("f", f), ("g", g), ("h", h)):
-            name, check = _CONDITIONS[(e.strict, which)]
-            res = bool(check(_stack(table), f, e)[0])
-            matrix[((e.a, e.b), name)] = res
-            if not res and first_fail is None:
-                first_fail = ((e.a, e.b), name)
+    matrix = _matrix({"f": f, "g": g, "h": h}, f, edges)
+    first_fail = next((key for key, holds in matrix.items() if not holds), None)
     return first_fail is None, matrix, first_fail
 
 
@@ -304,25 +300,19 @@ def compose_with_f_sym(table: OpTable, f: OpTable) -> OpTable:
 
 
 def _witness_tables(alg: Algebra, edges, kind: str, arity: int) -> list[OpTable]:
-    out = []
-    seen = set()
-    for e in edges:
-        term = e.witnesses.get(kind)
-        if term is None:
-            continue
-        t = term_table(alg, term, arity, name=kind[0])
-        if t.key() not in seen:
-            seen.add(t.key())
-            out.append(t)
-    return out
+    """The ``kind`` witness of each edge as a table, one per edge; the
+    candidates are its distinct tables in order (``dict.fromkeys``)."""
+    return [term_table(alg, e.witnesses[kind], arity, name=kind[0]) for e in edges]
 
 
-def _search(alg: Algebra, arity: int, candidates, check, budget: ClosureBudget):
+def _search(
+    alg: Algebra, arity: int, candidates, check, budget: ClosureBudget, claim: str, reason=lambda: ""
+) -> OpTable:
     """The first of ``candidates``, else of the arity-``arity`` term
     operations in stored order, that passes ``check`` (a mask over a stack
-    of tables); None when the complete closure has none, UNKNOWN when it
-    was capped.  The closure stops at the first round with a passing table.
-    """
+    of tables).  Else raises SynthesisError "no binary (ternary) term
+    operation ``claim``", marked " (slice capped)" when the cap cut the
+    closure short, and ended by ``reason()``, built only then."""
     for t in candidates:
         if check(_stack(t))[0]:
             return t
@@ -332,7 +322,12 @@ def _search(alg: Algebra, arity: int, candidates, check, budget: ClosureBudget):
         alg, n**arity, argument_grids(n, arity), lambda rows: check(rows.reshape(-1, *shape)), budget
     )
     if hit is None or hit is UNKNOWN:
-        return hit
+        capped = hit is UNKNOWN
+        raise SynthesisError(
+            f"no {'binary' if arity == 2 else 'ternary'} term operation {claim}"
+            f"{' (slice capped)' if capped else ''}{reason()}",
+            capped,
+        )
     return OpTable("s", arity, n, hit)
 
 
@@ -341,22 +336,24 @@ def _f_candidates(alg: Algebra, edges):
     if not s_edges:
         yield projection(alg.size, 2, 0, "p0")
     wits = _witness_tables(alg, s_edges, SEMILATTICE, 2)
-    yield from wits
+    yield from dict.fromkeys(wits)
     if wits:
         # constructive merge: fold remaining witnesses over the current candidate
         cur = wits[0]
-        for e in s_edges:
+        for e, wit in zip(s_edges, wits):
             if not cond_f_semilattice(_stack(cur), e)[0]:
-                cur = compose_fold_f(term_table(alg, e.witnesses[SEMILATTICE], 2), cur)
+                cur = compose_fold_f(wit, cur)
         yield cur
         yield projectionized(cur)
 
 
-def _majority_merge(alg: Algebra, m_edges, cur: OpTable) -> OpTable:
-    """Merge into ``cur`` the witness of every majority edge it fails."""
+def _majority_merge(alg: Algebra, m_edges, wits: list[OpTable]) -> OpTable:
+    """Merge into the first witness the witness of every majority edge it
+    fails."""
     x, y = np.indices((alg.size, alg.size))
     perms = ((0, 1, 2), (1, 0, 2), (2, 1, 0), (1, 2, 0), (2, 0, 1), (0, 2, 1))
-    for e in m_edges:
+    cur = wits[0]
+    for e, wit in zip(m_edges, wits):
         if cond_g_majority(_stack(cur), e)[0]:
             continue
         # permute arguments of cur so that (x,y,y) acts as first projection
@@ -365,8 +362,7 @@ def _majority_merge(alg: Algebra, m_edges, cur: OpTable) -> OpTable:
         ps = np.stack([np.transpose(cube, perm)[x, y, y] for perm in perms])
         ok = _cond_proj1(ps, *_blocks(e, MAJORITY))
         if ok.any():
-            wt = term_table(alg, e.witnesses[MAJORITY], 3).table()
-            cur = OpTable("g", 3, alg.size, ps[np.argmax(ok)][wt, cube].reshape(-1))
+            cur = OpTable("g", 3, alg.size, ps[np.argmax(ok)][wit.table(), cube].reshape(-1))
     return cur
 
 
@@ -374,37 +370,37 @@ def _g_candidates(alg: Algebra, edges, f: OpTable):
     yield g_from_f(f)
     m_edges = [e for e in edges if e.strict == STRICT_MAJORITY]
     wits = _witness_tables(alg, m_edges, MAJORITY, 3)
-    yield from wits
+    yield from dict.fromkeys(wits)
     if wits:
-        yield compose_with_f_sym(g_doubleprime(_majority_merge(alg, m_edges, wits[0])), f)
+        yield compose_with_f_sym(g_doubleprime(_majority_merge(alg, m_edges, wits)), f)
 
 
 def _h_candidates(alg: Algebra, edges, f: OpTable):
     yield g_from_f(f)
-    yield from _witness_tables(alg, [e for e in edges if e.strict == STRICT_AFFINE], AFFINE, 3)
+    a_edges = [e for e in edges if e.strict == STRICT_AFFINE]
+    yield from dict.fromkeys(_witness_tables(alg, a_edges, AFFINE, 3))
 
 
 def _synthesize(which: str, alg: Algebra, candidates, f, edges, budget: ClosureBudget) -> OpTable:
-    """The first candidate, else term operation, meeting row ``which``.
-
-    Raises SynthesisError naming the first condition of the row that the
-    first candidate fails.
-    """
-    arity = 2 if which == "f" else 3
+    """The first candidate, else term operation, meeting row ``which``; the
+    error names the first condition of the row that the first candidate
+    fails."""
     candidates = iter(candidates)
     first = next(candidates)
-    found = _search(
-        alg, arity, itertools.chain([first], candidates), lambda s: _row_mask(which, s, f, edges), budget
+
+    def first_failure() -> str:
+        matrix = _matrix({which: first}, f, edges)
+        return f"; first failure: {next((k for k, holds in matrix.items() if not holds), None)}"
+
+    return _search(
+        alg,
+        2 if which == "f" else 3,
+        itertools.chain([first], candidates),
+        lambda s: _row_mask(which, s, f, edges),
+        budget,
+        f"satisfies the {which}-conditions",
+        first_failure,
     )
-    if found is None or found is UNKNOWN:
-        capped = found is UNKNOWN
-        raise SynthesisError(
-            f"no {'binary' if arity == 2 else 'ternary'} term operation satisfies the "
-            f"{which}-conditions{' (slice capped)' if capped else ''}; "
-            f"first failure: {_first_failure(which, first, f, edges)}",
-            capped,
-        )
-    return found
 
 
 def synth_unified(alg: Algebra, edges: Sequence[EdgeInfo], budget: ClosureBudget = DEFAULT_BUDGET) -> UnifiedOps:
@@ -466,7 +462,9 @@ def enforce_identities(ops: UnifiedOps, alg: Algebra) -> UnifiedOps:
     g_new = OpTable("g", 3, n, gp[x[:, None, None], gt].reshape(-1))
     h_new = OpTable("h", 3, n, ht[hp.T[:, :, None], x[:, None], x].reshape(-1))
 
-    _assert_identities(f_new, g_new, h_new)
+    failed = _failed_identity(f_new, g_new, h_new)
+    if failed is not None:
+        raise VerificationError(f"identity {failed} does not hold")
     ok, matrix, first_fail = unified_conditions(alg, ops.edges, f_new, g_new, h_new)
     if not ok:
         raise VerificationError(
@@ -475,26 +473,22 @@ def enforce_identities(ops: UnifiedOps, alg: Algebra) -> UnifiedOps:
     return UnifiedOps(f=f_new, g=g_new, h=h_new, edges=ops.edges, provenance=matrix)
 
 
-def _assert_identities(f: OpTable, g: OpTable, h: OpTable) -> None:
+def _failed_identity(f: OpTable, g: OpTable, h: OpTable) -> str | None:
+    """The first absorption identity that f, g, h fail, or None."""
     n = f.size
-    ft, gt, htb = f.table(), g.table(), h.table()
+    ft, gt, ht = f.table(), g.table(), h.table()
     x, y = np.indices((n, n))
-    if not np.array_equal(ft[x, ft[x, y]], ft[x, y]):
-        raise VerificationError("identity f(x,f(x,y)) = f(x,y) does not hold")
-    gxyy = gt[x, y, y]
-    if not np.array_equal(gt[x, gxyy, gxyy], gxyy):
-        raise VerificationError("identity g(x,g(x,y,y),g(x,y,y)) = g(x,y,y) does not hold")
-    hxyy = htb[x, y, y]
-    if not np.array_equal(htb[hxyy, y, y], hxyy):
-        raise VerificationError("identity h(h(x,y,y),y,y) = h(x,y,y) does not hold")
+    gxyy, hxyy = gt[x, y, y], ht[x, y, y]
+    sides = (
+        ("f(x,f(x,y)) = f(x,y)", ft[x, ft[x, y]], ft[x, y]),
+        ("g(x,g(x,y,y),g(x,y,y)) = g(x,y,y)", gt[x, gxyy, gxyy], gxyy),
+        ("h(h(x,y,y),y,y) = h(x,y,y)", ht[hxyy, y, y], hxyy),
+    )
+    return next((name for name, lhs, rhs in sides if not np.array_equal(lhs, rhs)), None)
 
 
 def check_identities(ops: UnifiedOps) -> bool:
-    try:
-        _assert_identities(ops.f, ops.g, ops.h)
-        return True
-    except VerificationError:
-        return False
+    return _failed_identity(ops.f, ops.g, ops.h) is None
 
 
 # ---------------------------------------------------------------------------
@@ -532,15 +526,8 @@ def good_f(alg: Algebra, ops: UnifiedOps, budget: ClosureBudget = DEFAULT_BUDGET
         good = ((stack == x) | (absorbs & (stack[i, stack, x] == stack))).all(axis=(1, 2))
         return good & absorbs.all(axis=(1, 2)) & _row_mask("f", stack, None, ops.edges)
 
-    found = _search(alg, 2, _good_f_candidates(ops.f), check, budget)
-    if found is None or found is UNKNOWN:
-        capped = found is UNKNOWN
-        raise SynthesisError(
-            "no binary term operation is good for thin semilattice edges"
-            + (" (slice capped)" if capped else ""),
-            capped,
-        )
-    return found.renamed("f'")
+    claim = "is good for thin semilattice edges"
+    return _search(alg, 2, _good_f_candidates(ops.f), check, budget, claim).renamed("f'")
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,10 @@ harness over all small idempotent algebras of a fixed signature.
 Each suite checks one structural claim on one algebra and returns a
 VerificationReport.  The checks return ``(status, detail)``; one frame
 (``_suite``) turns that into the report.  It skips algebras that admit
-type 1, reports a SynthesisError as ``unknown`` when a capped term slice
-left it undecided and as ``fail`` otherwise, appends the serialized algebra
-to every failing detail, so a failure is a replayable counterexample, and
-times the run.
+type 1, reports a SynthesisError as ``unknown`` when the round-wise search
+of the term operations hit its cap and as ``fail`` otherwise, appends the
+serialized algebra to every failing detail, so a failure is a replayable
+counterexample, and times the run.
 
 The gate for "no degenerate divisor" used by every suite but
 ``tolerance-classes`` is the exact divisor test (omits_type1); the direct
@@ -139,20 +139,20 @@ def _suite(theorem: str, gated: bool):
     entered into ``_SUITES`` under ``theorem``.
 
     With ``gated``, an algebra admitting type 1 is skipped.  A SynthesisError
-    is ``unknown`` when a capped term slice left the synthesis undecided,
-    else ``fail``.  A failing detail gets the replayable algebra as its last
-    key, and the report the wall time of the whole run.
+    is ``unknown`` when the round-wise search of the term operations hit its
+    cap, else ``fail``.  A failing detail gets the replayable algebra as its
+    last key, and the report the wall time of the whole run.
     """
 
     def frame(check):
         @functools.wraps(check)
-        def run(ana: Analysis, *args) -> VerificationReport:
+        def run(ana: Analysis) -> VerificationReport:
             t0 = time.time()
             if gated and not ana.taylor():
                 status, detail = "skipped", {"reason": "algebra admits type 1"}
             else:
                 try:
-                    status, detail = check(ana, *args)
+                    status, detail = check(ana)
                 except SynthesisError as ex:
                     status, detail = ("unknown" if ex.capped else "fail"), {"error": str(ex)}
             if status == "fail":
@@ -178,16 +178,13 @@ def check_connectedness(ana: Analysis):
 @_suite("uniform", gated=True)
 def check_uniform(ana: Analysis):
     """Unified f, g, h meeting the whole per-edge condition matrix, as
-    recorded in ``UnifiedOps.provenance`` when the matrix was evaluated.
-    The matrix covers only the classified edges: with a pair of unknown
-    type, a matrix that holds is ``unknown``."""
+    recorded in ``UnifiedOps.provenance``: ``enforce_identities`` refuses a
+    matrix with a false entry, and a row that no operation meets is the
+    frame's SynthesisError.  The matrix covers only the classified edges:
+    with a pair of unknown type, the suite is ``unknown``."""
     matrix = ana.unified().provenance
     detail = {"conditions": {f"{k[0]}:{k[1]}": v for k, v in sorted(matrix.items())}}
-    first_fail = next((k for k, ok in matrix.items() if not ok), None)
-    if first_fail is None:
-        return ("unknown" if ana.graph().has_unknown() else "pass"), detail
-    detail["first_failure"] = list(first_fail[0]) + [first_fail[1]]
-    return "fail", detail
+    return ("unknown" if ana.graph().has_unknown() else "pass"), detail
 
 
 @_suite("identities", gated=True)
@@ -262,15 +259,11 @@ def check_as_connectivity(ana: Analysis):
 
 
 @_suite("reduct", gated=True)
-def check_reduct(ana: Analysis, edge_pair=None):
-    """Reduct claims for qualifying edges (or one chosen pair)."""
+def check_reduct(ana: Analysis):
+    """Reduct claims for qualifying edges."""
     alg = ana.alg
     graph = ana.graph()
-    edges = []
-    for e in graph.edge_list():
-        if SEMILATTICE in e.types or e.strict == STRICT_MAJORITY:
-            if edge_pair is None or (e.a, e.b) == tuple(sorted(edge_pair)):
-                edges.append(e)
+    edges = [e for e in graph.edge_list() if SEMILATTICE in e.types or e.strict == STRICT_MAJORITY]
     if not edges:
         return ("unknown" if graph.has_unknown() else "skipped"), {"reason": "no qualifying edge"}
     slices = (term_slice(alg, 2, ana.budget), term_slice(alg, 3, ana.budget))

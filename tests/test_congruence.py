@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from algraph.congruence import (
@@ -172,6 +173,22 @@ def test_link_tolerance(algs):
         link_tolerance(s2, ternary, 0)
     with pytest.raises(AlgebraError, match="not subdirect"):
         link_tolerance(s2, generate_subuniverse(s2, 2, [(0, 1), (1, 1)]), 1)
+
+
+def test_link_tolerance_refuses_a_relation_over_another_algebra(algs):
+    """A relation over an algebra with RPS's signature but other tables, or
+    another size, is refused; one over an equal copy of RPS is accepted."""
+    rps = algs["RPS"]
+    p3 = Algebra("P3", 3, [OpTable("w", 2, 3, np.indices((3, 3))[0].reshape(-1))])  # first projection
+    rel = generate_subuniverse(p3, 2, [(0, 0), (1, 0), (2, 2)])  # links 0 and 1
+    with pytest.raises(AlgebraError, match="different algebra"):
+        link_tolerance(rps, rel, 0)
+    p2 = Algebra("P2", 2, [OpTable("w", 2, 2, [0, 0, 1, 1])])
+    with pytest.raises(AlgebraError, match="different algebra"):
+        link_tolerance(rps, generate_subuniverse(p2, 2, [(0, 0), (1, 1)]), 0)
+    copy = Algebra("RPS copy", 3, rps.ops)
+    full = generate_subuniverse(copy, 2, [(a, b) for a in range(3) for b in range(3)])
+    assert link_tolerance(rps, full, 0).is_total()
 
 
 def test_link_tolerance_matches_brute(populations):

@@ -1,3 +1,6 @@
+import itertools
+import re
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,7 @@ from algraph.core import (
     term_table,
 )
 from algraph.congruence import Partition
+from oracles import _partitions
 
 
 def test_parse_s2(algs):
@@ -127,6 +131,32 @@ def test_quotient_algebra(algs):
 
     with pytest.raises(AlgebraError, match="not compatible"):
         quotient_algebra(algs["S3chain"], Partition.from_blocks(3, [[0, 2], [1]]))
+
+
+def test_quotient_refusal_names_a_violating_pair(algs):
+    """For every partition of the 3-element fixtures that is not a
+    congruence, the two tuples named land in different blocks; the others
+    quotient, with the block of f(x) read at the blocks of x."""
+    refused = 0
+    for name in ("RPS", "Z3A", "S3chain"):
+        alg = algs[name]
+        for blocks in _partitions(3):
+            part = Partition.from_blocks(3, blocks)
+            block = list(part.block_id)
+            try:
+                q, bmap = quotient_algebra(alg, part)
+            except AlgebraError as ex:
+                refused += 1
+                op_name, t0, t1 = re.search(r"with (\w+): \w+\((.*?)\) and \w+\((.*?)\)", str(ex)).groups()
+                op = alg.op(op_name)
+                t0, t1 = (tuple(map(int, t.split(","))) for t in (t0, t1))
+                assert [block[x] for x in t0] == [block[x] for x in t1]
+                assert block[op(*t0)] != block[op(*t1)]
+                continue
+            for op, qop in zip(alg.ops, q.ops):
+                for args in itertools.product(range(3), repeat=op.arity):
+                    assert qop(*(bmap[x] for x in args)) == bmap[op(*args)]
+    assert refused > 0
 
 
 def test_product_algebra(algs):

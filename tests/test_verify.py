@@ -157,6 +157,20 @@ def test_capped_synthesis_is_unknown(check, monkeypatch):
     assert "slice capped" in rep.detail["error"]
 
 
+@pytest.mark.parametrize("hit, status", [(UNKNOWN, "unknown"), (None, "fail")])
+def test_good_f_refusal(hit, status, algs, monkeypatch):
+    """RPS's f, g and h come from candidates.  With no f' candidate, the
+    term search alone decides: a capped one is inconclusive, a complete one
+    that finds nothing refutes."""
+    monkeypatch.setattr(algraph.thin, "_good_f_candidates", lambda f: iter(()))
+    monkeypatch.setattr(algraph.thin, "closure_search", lambda *args: hit)
+    rep = check_good_op(Analysis(algs["RPS"]))
+    assert rep.status == status, rep.detail
+    capped = " (slice capped)" if hit is UNKNOWN else ""
+    assert rep.detail["error"] == f"no binary term operation is good for thin semilattice edges{capped}"
+    assert ("algebra" in rep.detail) == (status == "fail")
+
+
 @pytest.mark.parametrize("name", ["M2", "A2", "Z3A"])
 def test_capped_thin_search_is_not_a_counterexample(name, algs, monkeypatch):
     """A capped thin-edge search may have missed the arcs that a path needs,
