@@ -8,11 +8,15 @@ order with the leftmost argument most significant:
 
 This encoding is the single wire format used everywhere, including the
 ``.alg`` text format.  All objects here are immutable after construction
-and safe to share.
+and safe to share.  ``evaluate_term_columns`` is the one term evaluator
+(``evaluate_term`` and ``term_table`` run through it): it evaluates each
+distinct subterm object once, so a shared subterm costs one table look-up.
 """
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -33,7 +37,11 @@ class ParseError(AlgebraError):
 
 
 class VerificationError(RuntimeError):
-    """A self-check that must hold by construction failed (abort, do not guess)."""
+    """A claim's self-check failed.  A suite reports it as ``fail`` with the
+    error and the algebra, or ``unknown`` when ``capped`` (a capped search cut
+    it short); the CLI exits 1, or 3 when capped, printing it to stderr."""
+
+    capped = False
 
 
 class _Unknown:
@@ -85,8 +93,7 @@ def flat_index(columns: Iterable[np.ndarray], size: int) -> np.ndarray:
 
 def argument_grids(size: int, arity: int) -> np.ndarray:
     """(arity, size**arity) array whose column j is the j-th argument tuple."""
-    grids = np.indices((size,) * arity).reshape(arity, -1)
-    return grids.astype(np.uint8)
+    return np.indices((size,) * arity).reshape(arity, -1).astype(np.uint8)
 
 
 class OpTable:
@@ -121,9 +128,7 @@ class OpTable:
 
     def __call__(self, *args: int) -> int:
         if len(args) != self.arity:
-            raise AlgebraError(
-                f"op {self.name}: expected {self.arity} arguments, got {len(args)}"
-            )
+            raise AlgebraError(f"op {self.name}: expected {self.arity} arguments, got {len(args)}")
         for x in args:
             if not 0 <= x < self.size:
                 raise AlgebraError(f"op {self.name}: argument {x} out of range")
@@ -182,9 +187,7 @@ class Algebra:
                 )
             x = op.idempotency_violation()
             if x is not None:
-                raise AlgebraError(
-                    f"algebra {name}: op {op.name} is not idempotent at x={x}"
-                )
+                raise AlgebraError(f"algebra {name}: op {op.name} is not idempotent at x={x}")
             if op.name in by_name:
                 raise AlgebraError(f"algebra {name}: duplicate op name {op.name}")
             by_name[op.name] = op
@@ -226,12 +229,6 @@ class Algebra:
             self._powers[w] = (tables, digits)
         return self._powers[w]
 
-    def arities(self) -> tuple[int, ...]:
-        return tuple(sorted({op.arity for op in self.ops}))
-
-    def renamed(self, name: str) -> "Algebra":
-        return Algebra(name, self.size, self.ops)
-
     def __repr__(self):
         sig = ", ".join(f"{n}/{a}" for n, a in self.signature())
         return f"Algebra({self.name!r}, size={self.size}, ops=[{sig}])"
@@ -267,40 +264,52 @@ TermExpr = Var | App
 
 
 def evaluate_term(alg: Algebra, term: TermExpr, assignment: Mapping[int, int] | Sequence[int]) -> int:
-    """Evaluate a term under a variable assignment (total on the term's variables)."""
-    if isinstance(term, Var):
-        try:
-            return assignment[term.index]
-        except (KeyError, IndexError):
-            raise AlgebraError(f"unassigned variable x{term.index}") from None
-    op = alg.op(term.op)
-    if len(term.args) != op.arity:
-        raise AlgebraError(
-            f"term applies {op.name}/{op.arity} to {len(term.args)} arguments"
-        )
-    vals = [evaluate_term(alg, a, assignment) for a in term.args]
-    return op(*vals)
+    """Evaluate a term under a variable assignment (total on the term's
+    variables): ``evaluate_term_columns`` on columns of one entry."""
+    pairs = assignment.items() if isinstance(assignment, Mapping) else enumerate(assignment)
+    columns = {i: np.array([v]) for i, v in pairs}
+    return int(evaluate_term_columns(alg, term, columns)[0])
 
 
-def evaluate_term_columns(alg: Algebra, term: TermExpr, columns: np.ndarray) -> np.ndarray:
-    """Evaluate a term coordinatewise; row j of ``columns`` is the value of x_j."""
-    if isinstance(term, Var):
-        if term.index >= columns.shape[0]:
-            raise AlgebraError(f"unassigned variable x{term.index}")
-        return columns[term.index]
-    op = alg.op(term.op)
-    if len(term.args) != op.arity:
-        raise AlgebraError(
-            f"term applies {op.name}/{op.arity} to {len(term.args)} arguments"
-        )
-    parts = (evaluate_term_columns(alg, a, columns) for a in term.args)
-    return op.values[flat_index(parts, alg.size)]
+def evaluate_term_columns(
+    alg: Algebra, term: TermExpr, columns: np.ndarray | Mapping[int, np.ndarray]
+) -> np.ndarray:
+    """Evaluate a term coordinatewise, ``columns[j]`` being the value of x_j,
+    each distinct subterm object once.  A mapping's columns (``evaluate_term``
+    gives one) are checked: an operation refuses a value outside the universe."""
+    n = alg.size
+    checked = not isinstance(columns, np.ndarray)
+    memo: dict[int, np.ndarray] = {}
+    wild: dict[int, int] = {}  # variable -> the first value of its column outside the universe
+
+    def value(t: TermExpr) -> np.ndarray:
+        got = memo.get(id(t))
+        if got is not None:
+            return got
+        if isinstance(t, Var):
+            try:
+                got = columns[t.index]
+            except (KeyError, IndexError):
+                raise AlgebraError(f"unassigned variable x{t.index}") from None
+            if checked and ((got < 0) | (got >= n)).any():
+                wild[id(t)] = next(x for x in got.tolist() if not 0 <= x < n)
+        else:
+            op = alg.op(t.op)
+            if len(t.args) != op.arity:
+                raise AlgebraError(f"term applies {op.name}/{op.arity} to {len(t.args)} arguments")
+            parts = [value(a) for a in t.args]
+            if wild and (outside := [wild[id(a)] for a in t.args if id(a) in wild]):
+                raise AlgebraError(f"op {op.name}: argument {outside[0]} out of range")
+            got = op.values[flat_index(parts, n)]
+        memo[id(t)] = got
+        return got
+
+    return value(term)
 
 
 def term_table(alg: Algebra, term: TermExpr, arity: int, name: str = "t") -> OpTable:
     """Materialize a term as an operation table of the given arity."""
-    cols = argument_grids(alg.size, arity)
-    vals = evaluate_term_columns(alg, term, cols)
+    vals = evaluate_term_columns(alg, term, argument_grids(alg.size, arity))
     return OpTable(name, arity, alg.size, vals)
 
 
@@ -352,9 +361,7 @@ def quotient_algebra(alg: Algebra, theta) -> tuple[Algebra, list[int]]:
     """
     bid = list(theta.block_id)
     if len(bid) != alg.size:
-        raise AlgebraError(
-            f"algebra {alg.name}: partition of size {len(bid)} does not match"
-        )
+        raise AlgebraError(f"algebra {alg.name}: partition of size {len(bid)} does not match")
     reps, bm = np.unique(bid, return_inverse=True)
     m = len(reps)
     new_ops = []
@@ -382,29 +389,17 @@ def product_algebra(algs: Sequence[Algebra], name: str | None = None) -> Algebra
     sig = algs[0].signature()
     for a in algs[1:]:
         if a.signature() != sig:
-            raise AlgebraError(
-                f"product: signature mismatch between {algs[0].name} and {a.name}"
-            )
+            raise AlgebraError(f"product: signature mismatch between {algs[0].name} and {a.name}")
     sizes = [a.size for a in algs]
-    total = 1
-    for s in sizes:
-        total *= s
+    total = math.prod(sizes)
     if total > 255:
         raise AlgebraError(f"product size {total} exceeds supported maximum 255")
-    # decode each product element into per-factor digits
-    digits = np.empty((len(algs), total), dtype=np.int64)
-    rest = np.arange(total)
-    for j in range(len(algs) - 1, -1, -1):
-        digits[j] = rest % sizes[j]
-        rest //= sizes[j]
+    digits = np.unravel_index(np.arange(total), sizes)  # per factor, of every element
     new_ops = []
     for oi, (opname, arity) in enumerate(sig):
-        grid = argument_grids(total, arity).astype(np.int64)
-        vals = np.zeros(total**arity, dtype=np.int64)
-        for j, a in enumerate(algs):
-            flat = flat_index((digits[j][row] for row in grid), a.size)
-            vals = vals * a.size + a.ops[oi].values[flat]
-        new_ops.append(OpTable(opname, arity, total, vals))
+        grid = argument_grids(total, arity)
+        parts = [a.ops[oi].values[flat_index(d[grid], a.size)] for a, d in zip(algs, digits)]
+        new_ops.append(OpTable(opname, arity, total, np.ravel_multi_index(parts, sizes)))
     return Algebra(name or "x".join(a.name for a in algs), total, new_ops)
 
 
@@ -423,23 +418,12 @@ def parse_algebra(text: str) -> Algebra:
         <N**ARITY integers, whitespace separated, line breaks insignificant>
         op ...
     """
-    tokens: list[tuple[str, int, int]] = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        i = 0
-        while i < len(line):
-            if line[i].isspace():
-                i += 1
-                continue
-            j = i
-            while j < len(line) and not line[j].isspace():
-                j += 1
-            tokens.append((line[i:j], ln, i + 1))
-            i = j
+    tokens = [
+        (m.group(), ln, m.start() + 1)
+        for ln, raw in enumerate(text.splitlines(), start=1)
+        for m in re.finditer(r"\S+", raw.split("#", 1)[0])
+    ]
     pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
 
     def take(expect: str | None = None) -> tuple[str, int, int]:
         nonlocal pos
@@ -466,20 +450,17 @@ def parse_algebra(text: str) -> Algebra:
     if size < 1:
         raise ParseError(f"size must be >= 1, got {size}", ln, col)
     ops = []
-    while peek() is not None:
+    while pos < len(tokens):
         take("op")
         opname, _, _ = take()
         arity, ln, col = take_int("arity")
         if arity < 1:
             raise ParseError(f"arity must be >= 1, got {arity}", ln, col)
-        count = size**arity
         values = []
-        for _ in range(count):
+        for _ in range(size**arity):
             v, ln, col = take_int("table value")
             if not 0 <= v < size:
-                raise ParseError(
-                    f"op {opname}: value {v} out of range [0, {size})", ln, col
-                )
+                raise ParseError(f"op {opname}: value {v} out of range [0, {size})", ln, col)
             values.append(v)
         table = OpTable(opname, arity, size, values)
         x = table.idempotency_violation()
@@ -496,7 +477,6 @@ def serialize_algebra(alg: Algebra) -> str:
     lines = [f"algebra {alg.name}", f"size {alg.size}"]
     for op in alg.ops:
         lines.append(f"op {op.name} {op.arity}")
-        vals = op.values
-        for i in range(0, len(vals), 16):
-            lines.append(" ".join(str(int(v)) for v in vals[i : i + 16]))
+        for i in range(0, op.values.size, 16):
+            lines.append(" ".join(str(int(v)) for v in op.values[i : i + 16]))
     return "\n".join(lines) + "\n"

@@ -4,10 +4,12 @@ harness over all small idempotent algebras of a fixed signature.
 Each suite checks one structural claim on one algebra and returns a
 VerificationReport.  The checks return ``(status, detail)``; one frame
 (``_suite``) turns that into the report.  It skips algebras that admit
-type 1, reports a SynthesisError as ``unknown`` when the round-wise search
-of the term operations hit its cap and as ``fail`` otherwise, appends the
+type 1, reports a VerificationError (a SynthesisError among them) as
+``unknown`` when a capped search cut it short and as ``fail`` otherwise, so
+one broken claim never aborts the other suites or a sweep, appends the
 serialized algebra to every failing detail, so a failure is a replayable
-counterexample, and times the run.
+counterexample, and times the run.  ``worst_status`` is the one order of
+verdicts: fail > unknown > skipped > pass.
 
 The gate for "no degenerate divisor" used by every suite but
 ``tolerance-classes`` is the exact divisor test (omits_type1); the direct
@@ -21,7 +23,7 @@ import functools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -57,7 +59,6 @@ from .connectivity import verify_as_connectivity
 from .reduct import build_reduct, thick_edge_subset, verify_reduct_claims
 from .subpower import ClosureBudget, DEFAULT_BUDGET, generate_subuniverse, term_slice
 from .thin import (
-    SynthesisError,
     UnifiedOps,
     all_thin_edges,
     check_identities,
@@ -130,6 +131,12 @@ class Analysis:
         return self._thin
 
 
+def worst_status(statuses: Iterable[str]) -> str:
+    """The gravest of the statuses, fail > unknown > skipped > pass; pass
+    when there are none."""
+    return max(statuses, key=("pass", "skipped", "unknown", "fail").index, default="pass")
+
+
 # suite name -> suite, in definition order; ``_suite`` fills it
 _SUITES: dict = {}
 
@@ -138,10 +145,11 @@ def _suite(theorem: str, gated: bool):
     """The frame of every suite around ``check(ana, ...) -> (status, detail)``,
     entered into ``_SUITES`` under ``theorem``.
 
-    With ``gated``, an algebra admitting type 1 is skipped.  A SynthesisError
-    is ``unknown`` when the round-wise search of the term operations hit its
-    cap, else ``fail``.  A failing detail gets the replayable algebra as its
-    last key, and the report the wall time of the whole run.
+    With ``gated``, an algebra admitting type 1 is skipped.  A
+    VerificationError is ``unknown`` when it is ``capped`` (a search of the
+    term operations hit its cap), else ``fail``.  A failing detail gets the
+    replayable algebra as its last key, and the report the wall time of the
+    whole run.
     """
 
     def frame(check):
@@ -153,7 +161,7 @@ def _suite(theorem: str, gated: bool):
             else:
                 try:
                     status, detail = check(ana)
-                except SynthesisError as ex:
+                except VerificationError as ex:
                     status, detail = ("unknown" if ex.capped else "fail"), {"error": str(ex)}
             if status == "fail":
                 detail["algebra"] = serialize_algebra(ana.alg)
@@ -268,7 +276,6 @@ def check_reduct(ana: Analysis):
         return ("unknown" if graph.has_unknown() else "skipped"), {"reason": "no qualifying edge"}
     slices = (term_slice(alg, 2, ana.budget), term_slice(alg, 3, ana.budget))
     results = []
-    worst = "pass"
     for e in edges:
         subset = thick_edge_subset(alg, e)
         red = build_reduct(alg, subset, ana.budget, slices=slices)
@@ -276,12 +283,8 @@ def check_reduct(ana: Analysis):
         rep["edge"] = [e.a, e.b]
         rep["ops"] = len(red.algebra.ops)
         results.append(rep)
-        statuses = {rep["omits_type1"], rep["s_connectivity"], rep["sm_connectivity"]}
-        if "fail" in statuses:
-            worst = "fail"
-        elif "unknown" in statuses and worst != "fail":
-            worst = "unknown"
-    return worst, {"edges": results}
+    claims = (rep[c] for rep in results for c in ("omits_type1", "s_connectivity", "sm_connectivity"))
+    return worst_status(s for s in claims if s != "skipped"), {"edges": results}
 
 
 @_suite("tolerance-classes", gated=False)
@@ -425,14 +428,7 @@ def enumerate_and_verify(
         if kind == "type1":
             return
         counts["taylor"] += 1
-        worst = "pass"
-        for rep in reports:
-            if rep["status"] == "fail":
-                worst = "fail"
-            elif rep["status"] == "unknown" and worst != "fail":
-                worst = "unknown"
-            elif rep["status"] == "skipped" and worst == "pass":
-                worst = "skipped"
+        worst = worst_status(rep["status"] for rep in reports)
         counts[worst] += 1
         if worst == "fail":
             failures.append({"index": index, "reports": reports})

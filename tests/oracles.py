@@ -221,3 +221,26 @@ def brute_type1(alg):
                 if is_type1_divisor(alg, carrier, blocks):
                     return carrier, blocks
     return None
+
+
+def brute_product_tables(algs):
+    """The value lists of the direct product's operations, element i being
+    the i-th tuple of ``itertools.product`` over the factors' universes."""
+    elems = list(itertools.product(*[range(a.size) for a in algs]))
+    index = {e: i for i, e in enumerate(elems)}
+    tables = []
+    for oi, op in enumerate(algs[0].ops):
+        values = []
+        for args in itertools.product(elems, repeat=op.arity):
+            image = tuple(_apply(a.ops[oi], [x[j] for x in args]) for j, a in enumerate(algs))
+            values.append(index[image])
+        tables.append(values)
+    return tables
+
+
+def _apply(op, args):
+    """One entry of a flat table, leftmost argument most significant."""
+    flat = 0
+    for x in args:
+        flat = flat * op.size + x
+    return int(op.values[flat])

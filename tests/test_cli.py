@@ -82,6 +82,22 @@ def test_synthesis_error_exit_codes(command, status, expected, tmp_path, monkeyp
     assert captured.out == "" and captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize("command, extra", [("verify", ["--theorem", "identities"]), ("synth", [])])
+def test_verification_error_exits_1(command, extra, monkeypatch, capsys):
+    """A broken claim is a failure: the verify report says so, and a command
+    that needs the claim prints the error."""
+    monkeypatch.setattr(algraph.thin, "_failed_identity", lambda f, g, h: "f(x,f(x,y)) = f(x,y)")
+    code = main([command, str(DATA / "S2.alg"), *extra])
+    captured = capsys.readouterr()
+    assert code == 1
+    if command == "verify":
+        (report,) = json.loads(captured.out)["reports"]
+        assert report["status"] == "fail"
+    else:
+        assert captured.out == ""
+        assert captured.err == "error: identity f(x,f(x,y)) = f(x,y) does not hold\n"
+
+
 def test_thin_exits_3_on_unknown_edge_types(capsys):
     code, _ = run(capsys, "thin", str(DATA / "RPS.alg"), "--cap", "3")
     assert code == 3

@@ -3,7 +3,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import algraph.core as core
 from algraph.core import (
     Algebra,
     AlgebraError,
@@ -22,7 +25,7 @@ from algraph.core import (
     term_table,
 )
 from algraph.congruence import Partition
-from oracles import _partitions
+from oracles import _partitions, brute_product_tables
 
 
 def test_parse_s2(algs):
@@ -209,3 +212,99 @@ def test_power_tables_are_the_power_algebra(algs):
             assert np.array_equal(digits, argument_grids(alg.size, w))
     with pytest.raises(AlgebraError, match="fit a byte"):
         algs["Z3A"].power_tables(6)
+
+
+@st.composite
+def idempotent_algebras(draw, size=None, arities=None):
+    """A random idempotent algebra: its size, the arities of its operations
+    and their off-diagonal values are drawn."""
+    n = draw(st.integers(1, 4)) if size is None else size
+    if arities is None:
+        arities = draw(st.lists(st.integers(1, 3 if n <= 3 else 2), min_size=1, max_size=3))
+    ops = []
+    for i, ar in enumerate(arities):
+        vals = draw(st.lists(st.integers(0, n - 1), min_size=n**ar, max_size=n**ar))
+        for x in range(n):
+            vals[sum(x * n**j for j in range(ar))] = x
+        ops.append(OpTable(f"o{i}", ar, n, vals))
+    return Algebra(draw(st.from_regex(r"[A-Za-z][\w|{},/]{0,8}", fullmatch=True)), n, ops)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(idempotent_algebras(), st.data())
+def test_parse_inverts_serialize(alg, data):
+    """Parsing the serialized algebra gives it back op for op, however its
+    tokens are spaced, broken over lines or commented."""
+    tokens = serialize_algebra(alg).split()
+    gaps = st.sampled_from([" ", "\t", "\n", " \t ", "\n\n", "  # a comment\n"])
+    text = "".join(tok + data.draw(gaps) for tok in tokens)
+    for again in (parse_algebra(serialize_algebra(alg)), parse_algebra(text)):
+        assert (again.name, again.size) == (alg.name, alg.size)
+        assert [(op.name, op.arity, op.values.tolist()) for op in again.ops] == [
+            (op.name, op.arity, op.values.tolist()) for op in alg.ops
+        ]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_product_matches_brute_force(data):
+    """The product of two or three random factors over one signature is the
+    brute-force product, element i being the i-th tuple of the factors."""
+    arities = data.draw(st.lists(st.integers(1, 2), min_size=1, max_size=2))
+    sizes = data.draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+    factors = [data.draw(idempotent_algebras(n, arities)) for n in sizes]
+    prod = product_algebra(factors)
+    assert prod.size == int(np.prod(sizes))
+    assert [op.values.tolist() for op in prod.ops] == brute_product_tables(factors)
+
+
+def test_shared_subterms_are_evaluated_once(algs, monkeypatch):
+    """t <- join(t, u), u <- join(u, t), 18 times from x0, x1: a term of 35
+    distinct applications whose tree has about 5 * 10^7 nodes; each distinct
+    application costs one look-up in an operation table."""
+    t, u = Var(0), Var(1)
+    for _ in range(18):
+        t = App("join", (t, u))
+        u = App("join", (u, t))
+    distinct, stack = set(), [t]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, App) and id(node) not in distinct:
+            distinct.add(id(node))
+            stack.extend(node.args)
+    assert len(distinct) == 35
+    applications = []
+
+    def counted(index):
+        def wrapper(*args):
+            applications.append(index)
+            assert len(applications) <= len(distinct), "a shared subterm was evaluated twice"
+            return index(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(core, "flat_index", counted(core.flat_index))
+    monkeypatch.setattr(core, "tuple_index", counted(core.tuple_index))
+    for evaluate, want in (
+        (lambda: term_table(algs["S2"], t, 2).values.tolist(), [0, 1, 1, 1]),
+        (lambda: evaluate_term(algs["S2"], t, (0, 1)), 1),
+        (lambda: evaluate_term(algs["S2"], t, {0: 1, 1: 1}), 1),
+    ):
+        applications.clear()
+        assert evaluate() == want
+
+
+def test_evaluate_term_refuses_values_outside_the_universe(algs):
+    """An out-of-range value is refused by the first operation applied to
+    it, after the subterms before it; a bare variable returns it."""
+    s2 = algs["S2"]
+    t = App("join", (Var(0), App("join", (Var(1), Var(2)))))
+    with pytest.raises(AlgebraError, match="^op join: argument 5 out of range$"):
+        evaluate_term(s2, t, [0, 5, 0])
+    with pytest.raises(AlgebraError, match="^unassigned variable x2$"):
+        evaluate_term(s2, t, {0: 0, 1: -1})
+    with pytest.raises(AlgebraError, match="^op join: argument -1 out of range$"):
+        evaluate_term(s2, t, {0: 0, 1: -1, 2: 0})
+    with pytest.raises(AlgebraError, match="^term applies join/2 to 1 arguments$"):
+        evaluate_term(s2, App("join", (Var(0),)), [0])
+    assert evaluate_term(s2, Var(1), [0, 7]) == 7

@@ -17,6 +17,7 @@ from algraph.thin import (
     ThinEdge,
     UnifiedOps,
     _CONDITIONS,
+    _failed_identity,
     _stack,
     all_thin_edges,
     check_identities,
@@ -224,6 +225,26 @@ def test_enforce_identities_period_two():
     t = fixed.f.table()
     x, y = np.indices((3, 3))
     assert np.array_equal(t[x, t[x, y]], t[x, y])
+
+
+def test_enforce_identities_repairs_f_g_and_h():
+    """f(0, -), y -> g(0, y, y) and x -> h(x, 0, 0) each swap 1 and 2, so
+    all three absorption identities fail; one call iterates all three maps."""
+    f = [0, 2, 1, 1, 1, 1, 2, 2, 2]
+    g = [args[0] for args in itertools.product(range(3), repeat=3)]
+    h = list(g)
+    g[0 * 9 + 1 * 3 + 1], g[0 * 9 + 2 * 3 + 2] = 2, 1  # g(0,1,1) = 2, g(0,2,2) = 1
+    h[1 * 9 + 0 * 3 + 0], h[2 * 9 + 0 * 3 + 0] = 2, 1  # h(1,0,0) = 2, h(2,0,0) = 1
+    f, g, h = table(f, 2, 3, "f"), table(g, 3, 3, "g"), table(h, 3, 3, "h")
+    ops = UnifiedOps(f=f, g=g, h=h, edges=(), provenance={})
+    p2, p3 = projection(3, 2, 0), projection(3, 3, 0)
+    assert _failed_identity(f, p3, p3) == "f(x,f(x,y)) = f(x,y)"
+    assert _failed_identity(p2, g, p3) == "g(x,g(x,y,y),g(x,y,y)) = g(x,y,y)"
+    assert _failed_identity(p2, p3, h) == "h(h(x,y,y),y,y) = h(x,y,y)"
+    fixed = enforce_identities(ops, Algebra("broken", 3, [f, g, h]))
+    assert _failed_identity(fixed.f, fixed.g, fixed.h) is None
+    for old, new in ((f, fixed.f), (g, fixed.g), (h, fixed.h)):
+        assert not np.array_equal(old.values, new.values)
 
 
 def test_good_f_examples(pipelines):

@@ -25,6 +25,7 @@ from algraph.verify import (
     enumerate_and_verify,
     idempotent_algebra,
     run_suite,
+    worst_status,
 )
 from oracles import naive_close
 
@@ -315,3 +316,33 @@ def test_is_thin_runs_once_per_ordered_pair_and_kind(algs, monkeypatch):
     reports = run_suite(algs["Z3A"], ("thin", "as-connectivity"))
     assert [r.status for r in reports] == ["pass", "pass"]
     assert len(calls) == 2 * 3 * 2
+
+
+def _break_identities(monkeypatch):
+    """Make ``enforce_identities`` refuse every f, g, h it is given."""
+    monkeypatch.setattr(algraph.thin, "_failed_identity", lambda f, g, h: "f(x,f(x,y)) = f(x,y)")
+
+
+def test_worst_status_order():
+    assert worst_status([]) == "pass"
+    assert worst_status(["pass", "skipped"]) == "skipped"
+    assert worst_status(["skipped", "unknown", "pass"]) == "unknown"
+    assert worst_status(iter(["unknown", "fail", "skipped"])) == "fail"
+
+
+def test_verification_error_is_the_suites_failure(algs, monkeypatch):
+    """A broken claim fails its own suite; the suites before it still report."""
+    _break_identities(monkeypatch)
+    connected, identities = run_suite(algs["S2"], ("connectedness", "identities"))
+    assert connected.status == "pass"
+    assert identities.status == "fail"
+    assert list(identities.detail) == ["error", "algebra"]
+    assert identities.detail["error"] == "identity f(x,f(x,y)) = f(x,y) does not hold"
+
+
+def test_verification_error_does_not_abort_a_sweep(monkeypatch):
+    _break_identities(monkeypatch)
+    res = enumerate_and_verify(2, "binary", "identities")
+    counts = res["counts"]
+    assert counts["taylor"] == 2 and counts["fail"] == 2
+    assert [f["reports"][0]["status"] for f in res["failures"]] == ["fail", "fail"]
