@@ -238,7 +238,7 @@ class Algebra:
 # Terms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     """Variable x_index in a term."""
 
@@ -248,7 +248,7 @@ class Var:
         return f"x{self.index}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class App:
     """Application of a named operation to subterms."""
 

@@ -42,9 +42,32 @@ alone.  A record per carrier (``_record``) holds the induced subalgebra,
 its congruences, and the quotient and affine certificate of each
 congruence, each built on first use; in a simple algebra every pair
 generates the whole algebra, so these are built once, not once per pair.
-The semilattice and majority searches run for every pair.  The records of
-one algebra live in a dict the caller passes, which an ``Analysis`` shares
-between its type-1 gate and its edge graph; a lone call makes its own.
+
+Each pair is read from one closed relation, R = Sg{(a,b),(b,a)} in A^2
+(``pair_relation``), closed once under the budget and with derivations:
+
+* its first coordinates are Sg(a, b), the carrier;
+* its image in Q^2, for Q = Sg(a,b)/theta, is Sg{(abar,bbar),(bbar,abar)},
+  so the semilattice orientation "ab" holds at theta exactly when some row
+  of R has both coordinates in b's theta-block ("ba": in a's block), and no
+  search in Q decides it; the witness term is read from R's derivations at
+  the equality (``quotient_algebra`` numbers its blocks by least member, so
+  the search in Q would keep the same ones), and otherwise comes from one
+  search in Q for the witnessing orientation, "ab" first;
+* a semilattice witness s for "ab" makes s(s(x,y),z) send (a,b,b), (b,a,b)
+  and (b,b,a) to b, so ``majority_witness`` skips that half-test ("ba":
+  the other half), which could only have refuted.
+
+R has at most n^2 rows, so an element cap cuts it short only below that
+size.  A capped R decides nothing: the carrier is then closed in A^1
+without the budget and both semilattice searches run in Q at each
+congruence, so every capped answer is what those searches give.  The
+tolerance suite links the same relation.
+
+The records of one algebra, the carrier records under their carriers and
+the pair relations under ``(a, b, budget)``, live in a dict the caller
+passes, which an ``Analysis`` shares between its type-1 gate, its edge
+graph and its tolerance suite; a lone call makes its own.
 """
 
 from __future__ import annotations
@@ -79,7 +102,9 @@ from .core import (
 from .subpower import (
     ClosureBudget,
     DEFAULT_BUDGET,
+    SubUniverse,
     closure_search,
+    extract_term,
     find_term,
     generate_subuniverse,
 )
@@ -149,7 +174,13 @@ def semilattice_witness(Q: Algebra, abar: int, bbar: int, budget: ClosureBudget 
     return find_term(Q, 2, [(abar, bbar), (bbar, abar)], (bbar, bbar), budget)
 
 
-def majority_witness(Q: Algebra, abar: int, bbar: int, budget: ClosureBudget = DEFAULT_BUDGET):
+def majority_witness(
+    Q: Algebra,
+    abar: int,
+    bbar: int,
+    budget: ClosureBudget = DEFAULT_BUDGET,
+    orientations: frozenset[str] = frozenset(),
+):
     """Ternary term g that is a majority operation on {abar, bbar}, or None/UNKNOWN.
 
     The six non-diagonal argument patterns over the pair are stacked into a
@@ -158,13 +189,22 @@ def majority_witness(Q: Algebra, abar: int, bbar: int, budget: ClosureBudget = D
     gives a member of the projected subpower, so when a complete half lacks
     its target, (b,b,b) or (a,a,a), no majority term exists and the answer
     None is exact.  A capped half decides nothing; the full search runs.
+
+    ``orientations`` are semilattice orientations known to hold on the pair
+    in Q (``classify_pair`` passes those it read at the same congruence).  A
+    witness s for "ab" makes s(s(x,y),z) send (a,b,b), (b,a,b) and (b,b,a)
+    to b, so the first half holds its target and is not closed; "ba" settles
+    the second half the same way.  A skipped half could only have refuted,
+    so the answer does not change.
     """
     if abar == bbar:
         raise AlgebraError("witness search requires distinct elements")
     a, b = abar, bbar
     gens = [(a, b, b, b, a, a), (b, a, b, a, b, a), (b, b, a, a, a, b)]
     target = (b, b, b, a, a, a)
-    for half in (slice(0, 3), slice(3, 6)):
+    for half, settled_by in ((slice(0, 3), "ab"), (slice(3, 6), "ba")):
+        if settled_by in orientations:
+            continue
         proj = generate_subuniverse(
             Q, 3, [g[half] for g in gens], budget=budget, derivations=False, target=target[half]
         )
@@ -276,12 +316,25 @@ class _CarrierRecord:
         return self.certificates[i, budget]
 
 
-def _record(alg: Algebra, carrier: tuple[int, ...], carriers: dict) -> _CarrierRecord:
-    """The record of a sorted carrier in ``carriers``, built on first use."""
-    if carrier not in carriers:
+def _record(alg: Algebra, carrier: tuple[int, ...], records: dict) -> _CarrierRecord:
+    """The record of a sorted carrier in ``records``, built on first use."""
+    if carrier not in records:
         sub, _ = subalgebra_induced(alg, carrier)
-        carriers[carrier] = _CarrierRecord(sub, all_congruences(sub))
-    return carriers[carrier]
+        records[carrier] = _CarrierRecord(sub, all_congruences(sub))
+    return records[carrier]
+
+
+def pair_relation(
+    alg: Algebra, a: int, b: int, budget: ClosureBudget = DEFAULT_BUDGET, records: dict | None = None
+) -> SubUniverse:
+    """R = Sg{(a,b),(b,a)} in A^2, with derivations, closed under the budget
+    once per records table: it is kept in ``records`` under ``(a, b,
+    budget)`` (a fresh dict when None)."""
+    records = {} if records is None else records
+    key = (a, b, budget)
+    if key not in records:
+        records[key] = generate_subuniverse(alg, 2, [(a, b), (b, a)], budget)
+    return records[key]
 
 
 def _pair_carrier(alg: Algebra, a: int, b: int) -> tuple[int, ...]:
@@ -290,12 +343,42 @@ def _pair_carrier(alg: Algebra, a: int, b: int) -> tuple[int, ...]:
     return tuple(sorted(x for (x,) in su.elements()))
 
 
+def _orientations(
+    rel: SubUniverse, carrier: tuple[int, ...], theta: Partition, a_loc: int, b_loc: int
+) -> frozenset[str]:
+    """The semilattice orientations at theta, read from R's image in Q^2:
+    "ab" holds when some row of R lies in b's theta-block in both
+    coordinates, "ba" when one lies in a's."""
+    bid = np.asarray(theta.block_id)
+    blocks = bid[np.searchsorted(carrier, rel.rows)]
+    return frozenset(o for o, x in (("ab", b_loc), ("ba", a_loc)) if (blocks == bid[x]).all(axis=1).any())
+
+
+def _read_witness(
+    rel: SubUniverse,
+    Q: Algebra,
+    theta: Partition,
+    abar: int,
+    bbar: int,
+    orients: frozenset[str],
+    budget: ClosureBudget,
+):
+    """The semilattice witness of the first of the orientations read from R,
+    "ab" first: R's own term at the equality, else one search in Q."""
+    if "ab" not in orients:
+        return semilattice_witness(Q, bbar, abar, budget)
+    if not theta.is_equality():
+        return semilattice_witness(Q, abar, bbar, budget)
+    _, b = rel.generators[0]
+    return extract_term(rel, rel.find((b, b)))
+
+
 def classify_pair(
     alg: Algebra,
     a: int,
     b: int,
     budget: ClosureBudget = DEFAULT_BUDGET,
-    carriers: dict | None = None,
+    records: dict | None = None,
 ) -> EdgeInfo:
     """Full edge classification of a pair: types, minimal witnessing
     congruences, witnesses, strictness.
@@ -308,17 +391,29 @@ def classify_pair(
     when all three are.  A type is unknown when it stayed unwitnessed and
     some search for it was capped.
 
-    The carrier is closed without the budget: it is a subset of A, and the
+    The pair is read from R = Sg{(a,b),(b,a)} (``pair_relation``).  When R
+    is complete, its first coordinates are the carrier, the semilattice
+    orientations at each congruence are read from its image in Q^2, and the
+    orientations read are passed to ``majority_witness``, whose half-tests
+    they settle.  The witness term is R's own at the equality for "ab", and
+    otherwise comes from one search in Q for the witnessing orientation, "ab"
+    first: the same terms as searching both orientations in Q gives.  A
+    capped R decides nothing: the carrier is closed in A^1 without the
+    budget, and both semilattice searches run at each congruence; the
     witness searches, which keep the budget, decide what a cap leaves open.
-    ``carriers`` maps a carrier to the record its pairs share (subalgebra,
-    congruences, quotients, affine certificates); ``edge_graph`` passes one
-    dict for all pairs of an algebra, and None starts an empty one, so a
-    lone call builds everything itself.
+
+    ``records`` holds the pair relations and, per carrier, the record its
+    pairs share (subalgebra, congruences, quotients, affine certificates);
+    ``edge_graph`` passes one dict for all pairs of an algebra, and None
+    starts an empty one, so a lone call builds everything itself.
     """
     if a == b:
         raise AlgebraError("classify_pair requires distinct elements")
-    carrier = _pair_carrier(alg, a, b)
-    rec = _record(alg, carrier, {} if carriers is None else carriers)
+    records = {} if records is None else records
+    rel = pair_relation(alg, a, b, budget, records)
+    exact = rel.is_complete()
+    carrier = tuple(np.unique(rel.rows[:, 0]).tolist()) if exact else _pair_carrier(alg, a, b)
+    rec = _record(alg, carrier, records)
     a_loc, b_loc = carrier.index(a), carrier.index(b)
 
     found: dict[str, tuple[Partition, object]] = {}
@@ -332,18 +427,24 @@ def classify_pair(
         Q, bmap = rec.quotient(i)
         abar, bbar = bmap[a_loc], bmap[b_loc]
 
+        orients = _orientations(rel, carrier, theta, a_loc, b_loc) if exact else frozenset()
         if SEMILATTICE not in found:
-            to_b = semilattice_witness(Q, abar, bbar, budget)
-            to_a = semilattice_witness(Q, bbar, abar, budget)
-            hits = {o: w for o, w in (("ab", to_b), ("ba", to_a)) if w is not None and w is not UNKNOWN}
-            if hits:
-                found[SEMILATTICE] = (theta, next(iter(hits.values())))
-                sl_orients = frozenset(hits)
-            elif to_b is UNKNOWN or to_a is UNKNOWN:
-                capped.add(SEMILATTICE)
+            if exact:
+                term = _read_witness(rel, Q, theta, abar, bbar, orients, budget) if orients else None
+            else:
+                to_b = semilattice_witness(Q, abar, bbar, budget)
+                to_a = semilattice_witness(Q, bbar, abar, budget)
+                hits = {o: w for o, w in (("ab", to_b), ("ba", to_a)) if w is not None and w is not UNKNOWN}
+                orients = frozenset(hits)
+                term = next(iter(hits.values()), None)
+                if not hits and (to_b is UNKNOWN or to_a is UNKNOWN):
+                    capped.add(SEMILATTICE)
+            if orients:
+                found[SEMILATTICE] = (theta, term)
+                sl_orients = orients
 
         if MAJORITY not in found:
-            mj = majority_witness(Q, abar, bbar, budget)
+            mj = majority_witness(Q, abar, bbar, budget, orients)
             if mj is UNKNOWN:
                 capped.add(MAJORITY)
             elif mj is not None:
@@ -426,14 +527,14 @@ def edges_connect(nodes: Sequence[int], edges: Iterable[EdgeInfo]) -> bool:
     return all(p.same(x, nodes[0]) for x in nodes)
 
 
-def edge_graph(alg: Algebra, budget: ClosureBudget = DEFAULT_BUDGET, carriers: dict | None = None) -> EdgeGraph:
+def edge_graph(alg: Algebra, budget: ClosureBudget = DEFAULT_BUDGET, records: dict | None = None) -> EdgeGraph:
     """Classify every unordered pair once, stored as (a, b) with a < b; pairs
-    generating one carrier share its record in ``carriers`` (fresh if None)."""
+    generating one carrier share its record in ``records`` (fresh if None)."""
     edges = {}
-    carriers = {} if carriers is None else carriers
+    records = {} if records is None else records
     for a in range(alg.size):
         for b in range(a + 1, alg.size):
-            edges[(a, b)] = classify_pair(alg, a, b, budget, carriers)
+            edges[(a, b)] = classify_pair(alg, a, b, budget, records)
     return EdgeGraph(alg, edges)
 
 
@@ -487,24 +588,24 @@ def _is_projection_only(alg: Algebra) -> bool:
     return True
 
 
-def type1_divisor(alg: Algebra, carriers: dict | None = None):
+def type1_divisor(alg: Algebra, records: dict | None = None):
     """A (carrier, partition) whose quotient has only projections, or None.
 
     A nontrivial such divisor is exactly the obstruction to having a 4-ary
     term s with s(y,x,y,z) = s(x,y,z,y) in a finite idempotent algebra.
     Subuniverses and congruences are walked in enumeration order, each read
-    from its record in ``carriers`` (a fresh dict when None).
+    from its record in ``records`` (a fresh dict when None).
     """
     for carrier in all_subuniverses(alg, min_size=2):
-        rec = _record(alg, carrier, {} if carriers is None else carriers)
+        rec = _record(alg, carrier, {} if records is None else records)
         for i, theta in enumerate(rec.congruences):
             if theta.num_blocks() >= 2 and _is_projection_only(rec.quotient(i)[0]):
                 return carrier, theta
     return None
 
 
-def omits_type1(alg: Algebra, carriers: dict | None = None) -> bool:
-    return type1_divisor(alg, carriers) is None
+def omits_type1(alg: Algebra, records: dict | None = None) -> bool:
+    return type1_divisor(alg, records) is None
 
 
 def has_siggers_term(alg: Algebra, budget: ClosureBudget = DEFAULT_BUDGET):

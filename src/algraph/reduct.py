@@ -131,10 +131,10 @@ def verify_reduct_claims(
         report["s_connectivity"] = "unknown"
         report["sm_connectivity"] = "unknown"
         return report
-    carriers: dict = {}  # the reduct's records, shared by its gate and its graph
-    report["omits_type1"] = "pass" if omits_type1(reduct.algebra, carriers) else "fail"
+    records: dict = {}  # the reduct's records, shared by its gate and its graph
+    report["omits_type1"] = "pass" if omits_type1(reduct.algebra, records) else "fail"
     bg = base_graph if base_graph is not None else edge_graph(alg, budget)
-    rg = edge_graph(reduct.algebra, budget, carriers)
+    rg = edge_graph(reduct.algebra, budget, records)
     if bg.s_connected():
         report["s_connectivity"] = "pass" if rg.s_connected() else "fail"
     else:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -54,10 +55,11 @@ from .edges import (
     edges_connect,
     graph_connected_hereditary,
     omits_type1,
+    pair_relation,
 )
 from .connectivity import verify_as_connectivity
 from .reduct import build_reduct, thick_edge_subset, verify_reduct_claims
-from .subpower import ClosureBudget, DEFAULT_BUDGET, generate_subuniverse, term_slice
+from .subpower import ClosureBudget, DEFAULT_BUDGET, SubUniverse, term_slice
 from .thin import (
     UnifiedOps,
     all_thin_edges,
@@ -68,7 +70,7 @@ from .thin import (
     verify_thick_thin,
 )
 
-@dataclass
+@dataclass(slots=True)
 class VerificationReport:
     theorem: str
     status: str  # pass | fail | unknown | skipped
@@ -90,32 +92,43 @@ class Analysis:
     The edge graph is built once, by ``graph()``; the suites, the thin
     edges and the CLI's graph/thin/synth commands read pairs, reversed
     pairs and subalgebra graphs from it instead of classifying again.  The
-    gate ``taylor()`` and the graph share one table of carrier records.
+    gate ``taylor()``, the graph and ``relation()`` share one records table
+    (carrier records and pair relations).  A synthesis that raised is
+    raised again by every later ``unified()``, not run again.
     """
 
     def __init__(self, alg: Algebra, budget: ClosureBudget = DEFAULT_BUDGET):
         self.alg = alg
         self.budget = budget
-        self._carriers: dict = {}
+        self._records: dict = {}
         self._graph: EdgeGraph | None = None
-        self._unified: UnifiedOps | None = None
+        self._unified: UnifiedOps | VerificationError | None = None
         self._fprime: OpTable | None = None
         self._thin: tuple[list, frozenset] | None = None
         self._taylor: bool | None = None
 
     def taylor(self) -> bool:
         if self._taylor is None:
-            self._taylor = omits_type1(self.alg, self._carriers)
+            self._taylor = omits_type1(self.alg, self._records)
         return self._taylor
 
     def graph(self) -> EdgeGraph:
         if self._graph is None:
-            self._graph = edge_graph(self.alg, self.budget, self._carriers)
+            self._graph = edge_graph(self.alg, self.budget, self._records)
         return self._graph
+
+    def relation(self, a: int, b: int) -> SubUniverse:
+        """Sg{(a,b),(b,a)} in A^2, the relation the graph classifies (a, b) from."""
+        return pair_relation(self.alg, a, b, self.budget, self._records)
 
     def unified(self) -> UnifiedOps:
         if self._unified is None:
-            self._unified = synth_unified(self.alg, self.graph().edge_list(), self.budget)
+            try:
+                self._unified = synth_unified(self.alg, self.graph().edge_list(), self.budget)
+            except VerificationError as ex:
+                self._unified = ex
+        if isinstance(self._unified, VerificationError):
+            raise self._unified
         return self._unified
 
     def fprime(self) -> OpTable:
@@ -191,7 +204,8 @@ def check_uniform(ana: Analysis):
     frame's SynthesisError.  The matrix covers only the classified edges:
     with a pair of unknown type, the suite is ``unknown``."""
     matrix = ana.unified().provenance
-    detail = {"conditions": {f"{k[0]}:{k[1]}": v for k, v in sorted(matrix.items())}}
+    # the keys recur across algebras: one string each
+    detail = {"conditions": {sys.intern(f"{k[0]}:{k[1]}"): v for k, v in sorted(matrix.items())}}
     return ("unknown" if ana.graph().has_unknown() else "pass"), detail
 
 
@@ -290,9 +304,11 @@ def check_reduct(ana: Analysis):
 @_suite("tolerance-classes", gated=False)
 def check_tolerance_classes(ana: Analysis):
     """Classes of every tolerance are subuniverses; link tolerances of
-    pair-generated subdirect binary relations are compatible.  Unless
-    something fails, the suite is ``unknown`` when the algebra is too large
-    to enumerate its tolerances (the detail names the limit) or when a
+    pair-generated subdirect binary relations are compatible.  The relation
+    of a pair is Sg{(a,b),(b,a)}, read from ``Analysis.relation``: the one
+    the edge graph classifies the pair from, so it is closed once for both.
+    Unless something fails, the suite is ``unknown`` when the algebra is too
+    large to enumerate its tolerances (the detail names the limit) or when a
     relation cut short by the budget leaves its pair undecided (it names the
     first such pair)."""
     alg = ana.alg
@@ -306,10 +322,10 @@ def check_tolerance_classes(ana: Analysis):
                 if not is_class_subuniverse(alg, cls):
                     failures.append({"claim": "class-subuniverse", "class": cls})
     # (a, b) and (b, a) generate the same relation, which is its own converse:
-    # close each once and link its first coordinate only
+    # link the first coordinate of the graph's relation of each pair only
     for a in range(alg.size):
         for b in range(a + 1, alg.size):
-            rel = generate_subuniverse(alg, 2, [(a, b), (b, a)], ana.budget, derivations=False)
+            rel = ana.relation(a, b)
             if not rel.is_complete():
                 detail.setdefault("capped_pair", [a, b])
                 continue

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import algraph.edges
 from algraph.congruence import all_congruences
 from algraph.core import (
     UNKNOWN,
@@ -32,6 +33,7 @@ from algraph.edges import (
     is_tolerance_free,
     majority_witness,
     omits_type1,
+    pair_relation,
     semilattice_witness,
     type1_divisor,
     verify_simple_case4,
@@ -114,6 +116,50 @@ def test_witness_searches_match_full_closure(populations):
         gens = [(a, b, b, b, a, a), (b, a, b, a, b, a), (b, b, a, a, a, b)]
         want = str(_full_closure_term(Q, 6, gens, (b, b, b, a, a, a)))
         assert str(majority_witness(Q, a, b)) == want, (Q.name, a, b)
+
+
+@pytest.mark.parametrize("budget", [DEFAULT_BUDGET, ClosureBudget(max_elements=3)], ids=["default", "cap3"])
+def test_orientations_read_from_the_pair_relation(populations, budget):
+    """At each congruence of Sg(a,b) separating a from b, the semilattice
+    orientations read from a complete R = Sg{(a,b),(b,a)} are those the two
+    searches in the quotient find, and each majority half-test they settle
+    holds its target in Q^3.  Pairs are taken once per pointed subalgebra."""
+    seen = set()
+    read = 0
+    for anas in populations.values():
+        for ana in anas:
+            alg = ana.alg
+            for (a, b), e in ana.graph().edges.items():
+                key = _pointed_type(e.sub, e.a_loc, e.b_loc)
+                if key in seen:
+                    continue
+                seen.add(key)
+                rel = pair_relation(alg, a, b, budget)
+                if not rel.is_complete():
+                    continue
+                su = generate_subuniverse(alg, 1, [(a,), (b,)], derivations=False)
+                sub, carrier = subalgebra_induced(alg, [x for (x,) in su.elements()])
+                carrier = tuple(carrier)
+                assert {x for x, _ in rel.elements()} == set(carrier)
+                a_loc, b_loc = carrier.index(a), carrier.index(b)
+                for theta in all_congruences(sub):
+                    if theta.same(a_loc, b_loc):
+                        continue
+                    Q, bmap = quotient_algebra(sub, theta)
+                    x, y = bmap[a_loc], bmap[b_loc]
+                    searched = {"ab": semilattice_witness(Q, x, y, budget), "ba": semilattice_witness(Q, y, x, budget)}
+                    assert all(w is not UNKNOWN for w in searched.values()), (alg.name, a, b)
+                    orients = algraph.edges._orientations(rel, carrier, theta, a_loc, b_loc)
+                    assert orients == {o for o, w in searched.items() if w is not None}, (alg.name, a, b)
+                    halves = {
+                        "ab": ([(x, y, y), (y, x, y), (y, y, x)], (y, y, y)),
+                        "ba": ([(y, x, x), (x, y, x), (x, x, y)], (x, x, x)),
+                    }
+                    for o in orients:
+                        gens, target = halves[o]
+                        assert generate_subuniverse(Q, 3, gens).find(target) is not None, (alg.name, a, b, o)
+                    read += 1
+    assert read >= (100 if budget is DEFAULT_BUDGET else 10)
 
 
 def test_capped_majority_projection_is_never_refutation(algs):

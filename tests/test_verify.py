@@ -3,8 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
+import algraph.congruence
 import algraph.edges
 import algraph.reduct
+import algraph.subpower
 import algraph.thin
 import algraph.verify
 from algraph.core import UNKNOWN, Algebra, OpTable, VerificationError
@@ -346,3 +348,49 @@ def test_verification_error_does_not_abort_a_sweep(monkeypatch):
     counts = res["counts"]
     assert counts["taylor"] == 2 and counts["fail"] == 2
     assert [f["reports"][0]["status"] for f in res["failures"]] == ["fail", "fail"]
+
+
+def test_failed_synthesis_is_not_run_again(algs, monkeypatch):
+    """Every suite after a failed synthesis reports its error; synthesis runs once."""
+    _break_identities(monkeypatch)
+    calls = []
+    original = algraph.verify.synth_unified
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(algraph.verify, "synth_unified", counting)
+    reports = {r.theorem: r for r in run_suite(algs["RPS"], "all")}
+    assert len(calls) == 1
+    failed = ("uniform", "identities", "good-op", "thin", "as-connectivity")
+    assert {name: reports[name].status for name in failed} == dict.fromkeys(failed, "fail")
+    assert len({reports[name].detail["error"] for name in failed}) == 1
+
+
+@pytest.mark.parametrize("index", [0, 1, 2])
+def test_pair_relation_closed_once_per_pair(monkeypatch, index):
+    """The edge graph and the tolerance suite read one closure of
+    Sg{(a,b),(b,a)} per pair, and no carrier is closed in A^1."""
+    alg = idempotent_algebra(3, "binary", index)
+    closures = []
+
+    def counting(original):
+        def closure(base, k, gens, *args, **kwargs):
+            if base is alg and k == 2:
+                closures.append(sorted(map(tuple, gens)))
+            return original(base, k, gens, *args, **kwargs)
+
+        return closure
+
+    for module in (algraph.edges, algraph.congruence, algraph.subpower):
+        monkeypatch.setattr(module, "generate_subuniverse", counting(module.generate_subuniverse))
+
+    def refuse(*args):
+        raise AssertionError("a carrier was closed in A^1")
+
+    monkeypatch.setattr(algraph.edges, "_pair_carrier", refuse)
+    reports = {r.theorem: r.status for r in run_suite(alg, "all")}
+    assert reports["connectedness"] == "pass" and reports["tolerance-classes"] == "pass"
+    pairs = [sorted([(a, b), (b, a)]) for a in range(3) for b in range(a + 1, 3)]
+    assert sorted(c for c in closures if c in pairs) == pairs
